@@ -27,14 +27,17 @@ void DeltaTamperServer::on_message(NodeId from, BytesView msg) {
     case ustor::MsgType::kSubmitDelta: {
       const auto m = ustor::decode_submit_delta_view(msg);
       if (!m.has_value()) return;
-      if (m->inv.oc == ustor::OpCode::kWrite) {
-        // Delta writes are served honestly: the attack targets the read side.
-        const auto reply = core_.process_submit_delta(*m, nullptr);
-        if (!reply.has_value()) return;
-        net_.send(self_, from, ustor::encode(*reply));
-      } else {
-        handle_delta_read(from, *m);
+      // Delta writes, and every read but the targeted one, are served
+      // honestly: the attack is one read reply.
+      const bool fire = m->inv.oc != ustor::OpCode::kWrite && m->inv.client == victim_ &&
+                        ++victim_reads_ == fire_on_read_ && mode_ != DeltaTamper::kNone &&
+                        !fired_;
+      if (fire) {
+        send_tampered_read(from, *m);
+        break;
       }
+      auto reply = core_.answer_submit_delta(*m, nullptr);
+      if (reply.has_value()) net_.send(self_, from, std::move(*reply));
       break;
     }
     case ustor::MsgType::kCommit: {
@@ -48,31 +51,19 @@ void DeltaTamperServer::on_message(NodeId from, BytesView msg) {
   }
 }
 
-void DeltaTamperServer::handle_delta_read(NodeId from,
-                                          const ustor::SubmitDeltaMessageView& m) {
+void DeltaTamperServer::send_tampered_read(NodeId from,
+                                           const ustor::SubmitDeltaMessageView& m) {
   const ClientId j = m.inv.target;
-  if (j < 1 || j > core_.n()) return;
+  if (!core_.is_client(j)) return;
 
   ustor::SubmitMessage owned;
   owned.t = m.t;
-  owned.inv = ustor::InvocationTuple{m.inv.client, m.inv.oc, m.inv.target,
-                                     Bytes(m.inv.submit_sig.begin(), m.inv.submit_sig.end())};
+  owned.inv = ustor::to_owned(m.inv);
   owned.data_sig.assign(m.data_sig.begin(), m.data_sig.end());
   const ustor::ReplySnapshot reply = core_.process_submit(owned);
 
   ustor::ReadDeltaPlan plan;
   const auto serving = core_.plan_read_delta(j, m.base_digest, &plan);
-
-  const bool fire = m.inv.client == victim_ && ++victim_reads_ == fire_on_read_ &&
-                    mode_ != DeltaTamper::kNone && !fired_;
-  if (!fire) {
-    if (serving == ustor::ServerCore::ReadServing::kFull) {
-      net_.send(self_, from, ustor::encode(reply));
-    } else {
-      net_.send(self_, from, ustor::encode_reply_delta(reply, plan));
-    }
-    return;
-  }
   fired_ = true;
 
   // Materialize a REPLY_DELTA the honest protocol would never send. The

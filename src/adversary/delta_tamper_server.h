@@ -39,7 +39,9 @@ class DeltaTamperServer : public net::Node {
   bool fired() const { return fired_; }
 
  private:
-  void handle_delta_read(NodeId from, const ustor::SubmitDeltaMessageView& m);
+  /// Runs the victim's targeted advertised-base read and sends the
+  /// corrupted REPLY_DELTA in its place.
+  void send_tampered_read(NodeId from, const ustor::SubmitDeltaMessageView& m);
 
   ustor::ServerCore core_;
   net::Transport& net_;

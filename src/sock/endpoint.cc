@@ -18,6 +18,11 @@ std::string errno_string(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 int open_stream_socket(int domain, std::string& err) {
   const int fd = ::socket(domain, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) err = errno_string("socket");
@@ -130,8 +135,7 @@ int connect_socket(const Endpoint& ep, bool& in_progress, std::string& err) {
       ::close(fd);
       return -1;
     }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    set_nodelay(fd);
     std::memcpy(&storage, &addr, sizeof(addr));
     len = sizeof(addr);
   } else {
@@ -152,6 +156,12 @@ int connect_socket(const Endpoint& ep, bool& in_progress, std::string& err) {
   err = errno_string("connect");
   ::close(fd);
   return -1;
+}
+
+int accept_socket(int listen_fd, Endpoint::Kind kind) {
+  const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+  if (fd >= 0 && kind == Endpoint::Kind::kTcp) set_nodelay(fd);
+  return fd;
 }
 
 }  // namespace faust::sock

@@ -65,4 +65,11 @@ int listen_socket(const Endpoint& ep, Endpoint& bound, std::string& err);
 /// description in `err`.
 int connect_socket(const Endpoint& ep, bool& in_progress, std::string& err);
 
+/// Accepts one pending connection on a listening socket of kind `kind`
+/// as a nonblocking, close-on-exec fd, or returns -1 (none pending, or a
+/// transient error). TCP connections get TCP_NODELAY, like dialed ones:
+/// the transport writes whole frames, and a small frame must not wait
+/// behind Nagle for the peer's delayed ACK.
+int accept_socket(int listen_fd, Endpoint::Kind kind);
+
 }  // namespace faust::sock

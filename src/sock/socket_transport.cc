@@ -539,7 +539,10 @@ void SocketTransport::handle_writable(Conn& conn) {
   while (!conn.txq.empty() && budget > 0) {
     const Bytes& frame = conn.txq.front().second;
     const std::size_t want = std::min(frame.size() - conn.tx_off, budget);
-    const auto n = ::write(conn.fd, frame.data() + conn.tx_off, want);
+    // MSG_NOSIGNAL: a peer that closed its end yields EPIPE, which takes
+    // the close-and-redial path below, instead of a process-killing
+    // SIGPIPE.
+    const auto n = ::send(conn.fd, frame.data() + conn.tx_off, want, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -696,7 +699,7 @@ void SocketTransport::deliver(NodeId from, NodeId to,
 
 void SocketTransport::accept_ready() {
   while (true) {
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    const int fd = accept_socket(listen_fd_, bound_.kind);
     if (fd < 0) return;  // EAGAIN or transient error; poll will retry
     {
       std::lock_guard<std::mutex> lock(mu_);

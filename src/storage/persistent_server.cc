@@ -108,21 +108,21 @@ void PersistentServer::on_message(NodeId from, BytesView msg) {
   if (*type != ustor::MsgType::kSubmit && *type != ustor::MsgType::kSubmitDelta &&
       *type != ustor::MsgType::kCommit)
     return;
+  // Before anything is logged: a record from a sender outside 1..n would
+  // poison the WAL for every later recovery.
+  if (!core_.is_client(from)) return;
 
   // Duplicate SUBMIT (a reconnecting client resending its in-flight op):
   // MEM[from].t is the last timestamp `from` submitted, so anything at or
   // below it was already processed. Serve the cached original reply —
   // reprocessing would duplicate the op's L entry and the WAL record.
-  if (*type != ustor::MsgType::kCommit && from >= 1 &&
-      from <= static_cast<NodeId>(core_.n())) {
+  if (*type != ustor::MsgType::kCommit) {
     Timestamp t = 0;
-    bool decoded = false;
     std::optional<ustor::CommitMessage> piggyback;
     if (*type == ustor::MsgType::kSubmit) {
       const auto v = ustor::decode_submit_view(msg);
-      if (!v.has_value() || v->inv.client != from) return;
+      if (!v.has_value() || v->inv.client != from || !core_.is_client(v->inv.target)) return;
       t = v->t;
-      decoded = true;
       if (v->has_commit) {
         piggyback = ustor::CommitMessage{v->commit_version,
                                          Bytes(v->commit_sig.begin(), v->commit_sig.end()),
@@ -130,9 +130,8 @@ void PersistentServer::on_message(NodeId from, BytesView msg) {
       }
     } else {
       const auto v = ustor::decode_submit_delta_view(msg);
-      if (!v.has_value() || v->inv.client != from) return;
+      if (!v.has_value() || v->inv.client != from || !core_.is_client(v->inv.target)) return;
       t = v->t;
-      decoded = true;
       if (v->has_commit) {
         piggyback = ustor::CommitMessage{v->commit_version,
                                          Bytes(v->commit_sig.begin(), v->commit_sig.end()),
@@ -147,7 +146,7 @@ void PersistentServer::on_message(NodeId from, BytesView msg) {
     // the commit's state change (an L prune other clients' replies will
     // observe) must still land in the WAL in processing order, or replay
     // would diverge from the live run.
-    if (piggyback.has_value() &&
+    if (piggyback.has_value() && piggyback->version.n() == core_.n() &&
         !ustor::version_leq(piggyback->version,
                             core_.sver(static_cast<ClientId>(from)).version)) {
       const Bytes commit_bytes = ustor::encode(*piggyback);
@@ -159,7 +158,7 @@ void PersistentServer::on_message(NodeId from, BytesView msg) {
       release_parked();
     }
 
-    if (decoded && t <= core_.mem(static_cast<ClientId>(from)).t) {
+    if (t <= core_.mem(static_cast<ClientId>(from)).t) {
       ++duplicate_replies_;
       const Bytes& cached = last_reply_[static_cast<std::size_t>(from) - 1];
       if (!cached.empty()) net_.send(self_, from, Bytes(cached));
@@ -212,29 +211,31 @@ void PersistentServer::release_parked() {
 
 void PersistentServer::apply(NodeId from, BytesView msg, bool live) {
   const auto type = ustor::peek_type(msg);
-  if (!type.has_value()) return;
+  if (!type.has_value() || !core_.is_client(from)) return;
+  // Encode even during replay: the cache must hold the ORIGINAL reply
+  // bytes so a post-restart duplicate gets the answer the pre-crash run
+  // computed — byte for byte, or the client's echo filter (D10) would
+  // take it for fresh evidence.
+  const auto reply_with = [&](Bytes encoded) {
+    if (live) net_.send(self_, from, Bytes(encoded));
+    last_reply_[static_cast<std::size_t>(from) - 1] = std::move(encoded);
+  };
   switch (*type) {
     case ustor::MsgType::kSubmit: {
       const auto m = ustor::decode_submit(msg);
-      if (!m.has_value() || m->inv.client != from) return;
+      if (!m.has_value() || m->inv.client != from || !core_.is_client(m->inv.target)) return;
       // Piggybacked COMMIT: idempotent under the monotone gate (the live
       // path already applied it from its own WAL record).
       if (m->commit.has_value()) {
         core_.process_commit(static_cast<ClientId>(from), *m->commit);
       }
-      const ustor::ReplySnapshot reply = core_.process_submit(*m);
-      // Encode even during replay: the cache must hold the ORIGINAL
-      // reply bytes so a post-restart duplicate gets the answer the
-      // pre-crash run computed.
-      Bytes encoded = ustor::encode(reply);
-      if (live) net_.send(self_, from, Bytes(encoded));
-      last_reply_[static_cast<std::size_t>(from) - 1] = std::move(encoded);
+      reply_with(ustor::encode(core_.process_submit(*m)));
       break;
     }
     case ustor::MsgType::kSubmitDelta: {
-      // The WAL stores the delta as received; expansion against the core's
-      // current state is deterministic because replay preserves order, so
-      // recovery rebuilds exactly the state the live run had.
+      // The WAL stores the delta as received. Replay runs it through the
+      // same core path in the same order, so recovery rebuilds the state,
+      // the delta history and the reply bytes the live run had.
       const auto dm = ustor::decode_submit_delta_view(msg);
       if (!dm.has_value() || dm->inv.client != from) return;
       if (dm->has_commit) {
@@ -244,12 +245,8 @@ void PersistentServer::apply(NodeId from, BytesView msg, bool live) {
                                  Bytes(dm->commit_sig.begin(), dm->commit_sig.end()),
                                  Bytes(dm->proof_sig.begin(), dm->proof_sig.end())});
       }
-      const auto m = ustor::expand_submit_delta(core_, *dm);
-      if (!m.has_value()) return;
-      const ustor::ReplySnapshot reply = core_.process_submit(*m);
-      Bytes encoded = ustor::encode(reply);
-      if (live) net_.send(self_, from, Bytes(encoded));
-      last_reply_[static_cast<std::size_t>(from) - 1] = std::move(encoded);
+      auto encoded = core_.answer_submit_delta(*dm, nullptr);
+      if (encoded.has_value()) reply_with(std::move(*encoded));
       break;
     }
     case ustor::MsgType::kCommit: {

@@ -9,6 +9,10 @@
 // in byte-identical state — clients notice nothing (storage_test proves
 // it: versions keep extending across a crash+recover, no fail_i fires).
 //
+// SUBMIT_DELTA goes through the same ServerCore::answer_submit_delta as
+// the in-memory server, live and in replay, so advertised-base reads are
+// answered with REPLY_DELTA here too (DESIGN.md D6).
+//
 // Snapshots bound replay time: every `snapshot_every` WAL records the
 // full protocol state (ustor/state_codec) plus the per-client reply cache
 // is written through SnapshotStore, whose integrity root is the same
@@ -88,6 +92,8 @@ class PersistentServer : public net::Node {
   std::uint64_t snapshots_rejected() const { return snaps_ ? snaps_->rejects() : 0; }
   /// Duplicate SUBMITs answered from the reply cache (client resume).
   std::uint64_t duplicate_replies() const { return duplicate_replies_; }
+  /// The reply cache: per client, the encoded bytes of its latest reply.
+  const std::vector<Bytes>& cached_replies() const { return last_reply_; }
   /// SUBMITs parked behind a not-yet-processed predecessor COMMIT (D10:
   /// a lossy/reordering transport delivered the SUBMIT first; processing
   /// it then would be a false self-concurrency at a correct client).

@@ -106,11 +106,6 @@ InvocationTupleView get_invocation(wire::Reader& r) {
   return inv;
 }
 
-InvocationTuple to_owned(const InvocationTupleView& v) {
-  return InvocationTuple{v.client, v.oc, v.target,
-                         Bytes(v.submit_sig.begin(), v.submit_sig.end())};
-}
-
 // D10 piggybacked-COMMIT tail of SUBMIT / SUBMIT_DELTA: present-flag,
 // then the CommitMessage body (version, φ, ψ). Written only when a
 // commit rides along, so the absent case stays byte-identical to the
@@ -292,6 +287,11 @@ std::size_t snapshot_l_count(const ReplySnapshot& m) {
 }
 
 }  // namespace
+
+InvocationTuple to_owned(const InvocationTupleView& v) {
+  return InvocationTuple{v.client, v.oc, v.target,
+                         Bytes(v.submit_sig.begin(), v.submit_sig.end())};
+}
 
 Value to_owned(const ValueView& v) {
   if (!v.has_value()) return std::nullopt;

@@ -324,6 +324,9 @@ struct ReplyDeltaMessageView {
 /// Converts a ValueView back to an owned Value.
 Value to_owned(const ValueView& v);
 
+/// Deep copy of an InvocationTupleView.
+InvocationTuple to_owned(const InvocationTupleView& v);
+
 // --- Server-side reply snapshot (copy-on-write, see PERF.md) --------------
 
 /// ReadPayload whose value/DATA-signature share the writer's retained

@@ -6,6 +6,15 @@
 #include "crypto/chunked_hasher.h"
 
 namespace faust::ustor {
+namespace {
+
+/// `part` as a SharedBytes: a slice pinning `buffer` when the message came
+/// in on the zero-copy path, an owned copy otherwise.
+SharedBytes share(const std::shared_ptr<const Bytes>& buffer, BytesView part) {
+  return buffer ? SharedBytes::slice(buffer, part) : SharedBytes::copy_of(part);
+}
+
+}  // namespace
 
 ServerCore::ServerCore(int n)
     : n_(n),
@@ -99,10 +108,14 @@ ReplySnapshot ServerCore::process_submit(const SubmitMessageView& m,
                                          const std::shared_ptr<const Bytes>& buffer) {
   SharedValue value;
   if (m.value.has_value()) value = SharedBytes::slice(buffer, *m.value);
-  InvocationTuple inv{m.inv.client, m.inv.oc, m.inv.target,
-                      Bytes(m.inv.submit_sig.begin(), m.inv.submit_sig.end())};
-  return submit_impl(m.t, std::move(inv), std::move(value),
+  return submit_impl(m.t, to_owned(m.inv), std::move(value),
                      SharedBytes::slice(buffer, m.data_sig));
+}
+
+std::size_t ServerCore::DeltaRecord::wire_size(const std::vector<Splice>& splices) {
+  std::size_t wire = 4;  // splice-count prefix
+  for (const Splice& s : splices) wire += 8 + 8 + 4 + s.insert.size();
+  return wire;
 }
 
 bool ServerCore::ensure_digest(ClientId i) {
@@ -118,7 +131,7 @@ bool ServerCore::ensure_digest(ClientId i) {
 std::optional<ReplySnapshot> ServerCore::process_submit_delta(
     const SubmitDeltaMessageView& m, const std::shared_ptr<const Bytes>& buffer) {
   const ClientId i = m.inv.client;
-  if (i < 1 || i > n_) return std::nullopt;
+  if (!is_client(i)) return std::nullopt;
   if (m.inv.oc != OpCode::kWrite || m.inv.target != i) return std::nullopt;
   MemEntry& me = mem(i);
   if (!me.value.has_value()) return std::nullopt;  // no base to splice against
@@ -139,27 +152,41 @@ std::optional<ReplySnapshot> ServerCore::process_submit_delta(
   rec.to = m.new_root;
   rec.new_size = m.new_size;
   rec.splices.reserve(m.splices.size());
-  std::size_t wire = 4;  // splice-count prefix
   for (const SpliceView& s : m.splices) {
     rec.splices.push_back(Splice{s.offset, s.erase_len, Bytes(s.insert.begin(), s.insert.end())});
-    wire += 8 + 8 + 4 + s.insert.size();
   }
-  rec.wire_bytes = wire;
+  rec.wire_bytes = DeltaRecord::wire_size(rec.splices);
   history.push_back(std::move(rec));
   while (history.size() > kDeltaHistoryDepth) history.pop_front();
 
-  InvocationTuple inv{m.inv.client, m.inv.oc, m.inv.target,
-                      Bytes(m.inv.submit_sig.begin(), m.inv.submit_sig.end())};
-  SharedBytes sig = buffer ? SharedBytes::slice(buffer, m.data_sig)
-                           : SharedBytes::copy_of(m.data_sig);
-  ReplySnapshot reply = submit_impl(m.t, std::move(inv),
-                                    SharedBytes::owned(std::move(*applied)), std::move(sig));
+  ReplySnapshot reply = submit_impl(m.t, to_owned(m.inv), SharedBytes::owned(std::move(*applied)),
+                                    share(buffer, m.data_sig));
   // submit_impl replaced mem(i) with a bare entry; restore the delta state.
   MemEntry& fresh = mem(i);
   fresh.digest_known = true;
   fresh.digest = m.new_root;
   fresh.history = std::move(history);
   return reply;
+}
+
+std::optional<Bytes> ServerCore::answer_submit_delta(const SubmitDeltaMessageView& m,
+                                                     const std::shared_ptr<const Bytes>& buffer) {
+  if (m.inv.oc == OpCode::kWrite) {
+    const auto reply = process_submit_delta(m, buffer);
+    if (!reply.has_value()) return std::nullopt;
+    return encode(*reply);
+  }
+  // Advertised-base read: run the ordinary read, then shrink the reply to
+  // an "unchanged" token or a splice run if the reader's base allows it.
+  const ClientId j = m.inv.target;
+  if (!is_client(m.inv.client) || !is_client(j)) return std::nullopt;
+  const ReplySnapshot reply =
+      submit_impl(m.t, to_owned(m.inv), std::nullopt, share(buffer, m.data_sig));
+  ReadDeltaPlan plan;
+  if (plan_read_delta(j, m.base_digest, &plan) == ReadServing::kFull) {
+    return encode(reply);  // D6 fallback: full value
+  }
+  return encode_reply_delta(reply, plan);
 }
 
 ServerCore::ReadServing ServerCore::plan_read_delta(ClientId j, const crypto::Hash& base,
@@ -200,11 +227,10 @@ std::optional<SubmitMessage> expand_submit_delta(const ServerCore& core,
                                                  const SubmitDeltaMessageView& m) {
   SubmitMessage out;
   out.t = m.t;
-  out.inv = InvocationTuple{m.inv.client, m.inv.oc, m.inv.target,
-                            Bytes(m.inv.submit_sig.begin(), m.inv.submit_sig.end())};
+  out.inv = to_owned(m.inv);
   out.data_sig.assign(m.data_sig.begin(), m.data_sig.end());
   if (m.inv.oc == OpCode::kRead) return out;  // advertised-base read: no value
-  if (m.inv.client < 1 || m.inv.client > core.n()) return std::nullopt;
+  if (!core.is_client(m.inv.client)) return std::nullopt;
   const ServerCore::MemEntry& me = core.mem(m.inv.client);
   if (!me.value.has_value()) return std::nullopt;
   auto applied =
@@ -232,13 +258,13 @@ void ServerCore::restore(std::vector<MemEntry> mem, ClientId c,
 }
 
 void ServerCore::process_commit(ClientId i, const CommitMessage& m) {
-  FAUST_CHECK(i >= 1 && i <= n_);
+  if (!is_client(i) || m.version.n() != n_) return;
   const Version& vc = sver(c_).version;
 
   // Line 119: "V_i > V^c" on the timestamp vectors — pointwise >= and not
   // equal. Committed versions of a correct execution are totally ordered
   // by the schedule, so this promotes exactly the schedule-latest commit.
-  bool geq = m.version.n() == n_;
+  bool geq = true;
   bool strict = false;
   for (int k = 1; geq && k <= n_; ++k) {
     if (m.version.v(k) < vc.v(k)) geq = false;
@@ -294,6 +320,7 @@ void Server::process_client_msg(NodeId from, BytesView bytes,
                                 const std::shared_ptr<const Bytes>& buffer) {
   const auto type = peek_type(bytes);
   if (!type.has_value()) return;  // clients are correct; ignore noise
+  if (!core_.is_client(from)) return;
   if (*type == MsgType::kCommit) {
     auto m = decode_commit(bytes);
     if (!m.has_value()) return;
@@ -302,7 +329,6 @@ void Server::process_client_msg(NodeId from, BytesView bytes,
     return;
   }
   if (*type != MsgType::kSubmit && *type != MsgType::kSubmitDelta) return;
-  if (from < 1 || from > static_cast<NodeId>(core_.n())) return;
 
   // Peek (client, t) without processing: both view decoders are cheap and
   // copy nothing. The D10 piggybacked COMMIT (when present) is lifted out
@@ -311,7 +337,7 @@ void Server::process_client_msg(NodeId from, BytesView bytes,
   std::optional<CommitMessage> piggyback;
   if (*type == MsgType::kSubmit) {
     const auto v = decode_submit_view(bytes);
-    if (!v.has_value() || v->inv.client != from) return;
+    if (!v.has_value() || v->inv.client != from || !core_.is_client(v->inv.target)) return;
     t = v->t;
     if (v->has_commit) {
       piggyback = CommitMessage{v->commit_version, Bytes(v->commit_sig.begin(), v->commit_sig.end()),
@@ -319,7 +345,7 @@ void Server::process_client_msg(NodeId from, BytesView bytes,
     }
   } else {
     const auto v = decode_submit_delta_view(bytes);
-    if (!v.has_value() || v->inv.client != from) return;
+    if (!v.has_value() || v->inv.client != from || !core_.is_client(v->inv.target)) return;
     t = v->t;
     if (v->has_commit) {
       piggyback = CommitMessage{v->commit_version, Bytes(v->commit_sig.begin(), v->commit_sig.end()),
@@ -373,7 +399,10 @@ void Server::dispatch_submit(NodeId from, BytesView bytes,
   if (peek_type(bytes) == MsgType::kSubmitDelta) {
     const auto m = decode_submit_delta_view(bytes);
     if (!m.has_value()) return;
-    handle_submit_delta(from, *m, buffer);
+    // A baseless/out-of-bounds delta is dropped: correct clients never
+    // send one, and a Byzantine client only hurts itself.
+    auto reply = core_.answer_submit_delta(*m, buffer);
+    if (reply.has_value()) send_reply(static_cast<ClientId>(from), std::move(*reply));
     return;
   }
   if (buffer) {
@@ -405,44 +434,6 @@ void Server::release_parked() {
 void Server::send_reply(ClientId to, Bytes encoded) {
   last_reply_[static_cast<std::size_t>(to - 1)] = encoded;
   net_.send(self_, static_cast<NodeId>(to), std::move(encoded));
-}
-
-void Server::handle_submit_delta(NodeId from, const SubmitDeltaMessageView& m,
-                                 const std::shared_ptr<const Bytes>& buffer) {
-  if (m.inv.oc == OpCode::kWrite) {
-    const auto reply = core_.process_submit_delta(m, buffer);
-    // A baseless/out-of-bounds delta is dropped: correct clients never
-    // send one, and a Byzantine client only hurts itself.
-    if (!reply.has_value()) return;
-    send_reply(static_cast<ClientId>(from), encode(*reply));
-    return;
-  }
-  // Advertised-base read: run the ordinary read, then shrink the reply to
-  // an "unchanged" token or a splice run if the reader's base allows it.
-  const ClientId j = m.inv.target;
-  if (j < 1 || j > core_.n()) return;
-  SubmitMessageView full;
-  full.t = m.t;
-  full.inv = m.inv;
-  full.value = std::nullopt;
-  full.data_sig = m.data_sig;
-  ReplySnapshot reply;
-  if (buffer) {
-    reply = core_.process_submit(full, buffer);
-  } else {
-    SubmitMessage owned;
-    owned.t = m.t;
-    owned.inv = InvocationTuple{m.inv.client, m.inv.oc, m.inv.target,
-                                Bytes(m.inv.submit_sig.begin(), m.inv.submit_sig.end())};
-    owned.data_sig.assign(m.data_sig.begin(), m.data_sig.end());
-    reply = core_.process_submit(owned);
-  }
-  ReadDeltaPlan plan;
-  if (core_.plan_read_delta(j, m.base_digest, &plan) == ServerCore::ReadServing::kFull) {
-    send_reply(static_cast<ClientId>(from), encode(reply));  // D6 fallback: full value
-  } else {
-    send_reply(static_cast<ClientId>(from), encode_reply_delta(reply, plan));
-  }
 }
 
 void Server::on_shared_message(NodeId from, const std::shared_ptr<const Bytes>& msg) {

@@ -73,6 +73,18 @@ class ServerCore {
   std::optional<ReplySnapshot> process_submit_delta(const SubmitDeltaMessageView& m,
                                                     const std::shared_ptr<const Bytes>& buffer);
 
+  /// SUBMIT_DELTA, both forms, as every correct server answers it (D6):
+  /// ustor::Server live, storage::PersistentServer live and in WAL replay.
+  /// The write form runs process_submit_delta; an advertised-base read
+  /// runs the ordinary read, then shrinks the reply to an "unchanged"
+  /// token or splice runs when the reader's base allows it. Returns the
+  /// encoded REPLY or REPLY_DELTA — a deterministic function of the state
+  /// and `m`, so a replayed message re-encodes the live run's bytes.
+  /// nullopt drops the message: a baseless or out-of-bounds delta, or a
+  /// client/target outside 1..n. `buffer` may be null (owned-copy path).
+  std::optional<Bytes> answer_submit_delta(const SubmitDeltaMessageView& m,
+                                           const std::shared_ptr<const Bytes>& buffer);
+
   /// How an advertised-base read can be served.
   enum class ReadServing {
     kFull,       // base unknown / history too old / delta not smaller
@@ -91,7 +103,8 @@ class ServerCore {
   bool ensure_digest(ClientId i);
 
   /// Lines 117–123: stores the version/signatures, advances the last
-  /// committed pointer `c`, prunes L.
+  /// committed pointer `c`, prunes L. A COMMIT from outside 1..n or over
+  /// a version of another size is ignored: no correct client sends one.
   void process_commit(ClientId i, const CommitMessage& m);
 
   /// True iff L currently lists an operation of client `i` — its COMMIT
@@ -102,6 +115,11 @@ class ServerCore {
   bool client_in_L(ClientId i) const;
 
   int n() const { return n_; }
+
+  /// True iff `id` names one of the n clients. Servers drop a message
+  /// from any other sender before logging or processing it: transports
+  /// pass through the sender id a peer claims, and ids index MEM/SVER/P.
+  bool is_client(NodeId id) const { return id >= 1 && id <= n_; }
 
   /// The schedule so far (order of SUBMIT processing).
   const std::vector<ScheduledOp>& schedule() const { return schedule_; }
@@ -135,6 +153,9 @@ class ServerCore {
     std::uint64_t new_size = 0;
     std::vector<Splice> splices;
     std::size_t wire_bytes = 0;  // encoded size of the splice list
+
+    /// Encoded size of `splices` on the wire (count prefix included).
+    static std::size_t wire_size(const std::vector<Splice>& splices);
   };
 
   /// How many delta records to retain per register; a reader whose base is
@@ -162,11 +183,11 @@ class ServerCore {
   const std::vector<Bytes>& P() const { return *P_; }
 
   /// Durability import hook (ustor/state_codec.h): replaces the entire
-  /// protocol state with a previously exported image. Delta bookkeeping
-  /// (digest/history of each MemEntry) is NOT part of an image — it is
-  /// derived state that rebuilds on demand, so advertised-base reads
-  /// against a restored core degrade to "unchanged" or full replies,
-  /// never to wrong ones. Vector sizes must match n (FAUST_CHECKed).
+  /// protocol state with a previously exported image, delta bookkeeping
+  /// (digest and history of each MemEntry) included — a restored core
+  /// answers every later advertised-base read with the bytes the
+  /// original core would have sent. Vector sizes must match n
+  /// (FAUST_CHECKed).
   void restore(std::vector<MemEntry> mem, ClientId c, std::vector<SignedVersion> sver,
                std::vector<InvocationTuple> concurrent, std::vector<Bytes> proofs,
                std::vector<ScheduledOp> schedule);
@@ -195,10 +216,11 @@ class ServerCore {
 
 /// Expands a SUBMIT_DELTA into the equivalent full SUBMIT against `core`'s
 /// current state: write form applies the splices to the stored value, read
-/// form carries no value. Used by servers that do not speak the delta
-/// protocol themselves (adversaries, the WAL replayer) — replying with a
-/// full REPLY to a delta-speaking client is always acceptable under the
-/// D6 negotiation. nullopt on a baseless or out-of-bounds delta.
+/// form carries no value. Used by the adversaries in src/adversary, which
+/// do not speak the delta protocol themselves — replying with a full REPLY
+/// to a delta-speaking client is always acceptable under the D6
+/// negotiation. Correct servers use ServerCore::answer_submit_delta.
+/// nullopt on a baseless or out-of-bounds delta.
 std::optional<SubmitMessage> expand_submit_delta(const ServerCore& core,
                                                  const SubmitDeltaMessageView& m);
 
@@ -256,11 +278,6 @@ class Server : public net::Node {
   /// core and replies.
   void dispatch_submit(NodeId from, BytesView bytes,
                        const std::shared_ptr<const Bytes>& buffer);
-
-  /// Shared SUBMIT_DELTA handling for both delivery paths; `buffer` is
-  /// null on the owned (on_message) path.
-  void handle_submit_delta(NodeId from, const SubmitDeltaMessageView& m,
-                           const std::shared_ptr<const Bytes>& buffer);
 
   /// Dispatches every parked SUBMIT whose blocking L entry is gone (a
   /// COMMIT's prune can clear OTHER clients' entries too, so all slots

@@ -37,7 +37,71 @@ bool get_version(wire::Reader& r, int n, Version* out) {
   return true;
 }
 
-constexpr std::uint32_t kMagic = 0x46535431;  // "FST1": format version 1
+void put_hash(wire::Writer& w, const crypto::Hash& h) {
+  w.put_raw(BytesView(h.data(), h.size()));
+}
+
+bool get_hash(wire::Reader& r, crypto::Hash* out) {
+  const BytesView raw = r.get_view(out->size());
+  if (wire::Reader::is_error(raw)) return false;
+  std::copy(raw.begin(), raw.end(), out->begin());
+  return true;
+}
+
+// Delta bookkeeping of one register (D6/D7): the digest state and the
+// splice history plan_read_delta serves advertised-base reads from.
+void put_delta_state(wire::Writer& w, const ServerCore::MemEntry& me) {
+  w.put_u8(me.digest_known ? 1 : 0);
+  if (me.digest_known) put_hash(w, me.digest);
+  w.put_u32(static_cast<std::uint32_t>(me.history.size()));
+  for (const ServerCore::DeltaRecord& rec : me.history) {
+    put_hash(w, rec.from);
+    put_hash(w, rec.to);
+    w.put_u64(rec.new_size);
+    w.put_u32(static_cast<std::uint32_t>(rec.splices.size()));
+    for (const Splice& sp : rec.splices) {
+      w.put_u64(sp.offset);
+      w.put_u64(sp.erase_len);
+      w.put_bytes(sp.insert);
+    }
+  }
+}
+
+bool get_delta_state(wire::Reader& r, ServerCore::MemEntry* me) {
+  const std::uint8_t known = r.get_u8();
+  if (!r.ok() || known > 1) return false;
+  me->digest_known = known == 1;
+  if (me->digest_known && !get_hash(r, &me->digest)) return false;
+  const std::uint32_t records = r.get_u32();
+  if (!r.ok() || records > ServerCore::kDeltaHistoryDepth) return false;
+  // The live core keeps these implications; an image that breaks them
+  // was not written by encode_server_state.
+  if (me->digest_known && !me->value.has_value()) return false;
+  if (records > 0 && !me->digest_known) return false;
+  for (std::uint32_t q = 0; q < records; ++q) {
+    ServerCore::DeltaRecord rec;
+    if (!get_hash(r, &rec.from) || !get_hash(r, &rec.to)) return false;
+    rec.new_size = r.get_u64();
+    const std::uint32_t count = r.get_u32();
+    // Each splice takes at least 20 bytes: a count the rest of the image
+    // cannot hold is corruption, not a reason to allocate.
+    if (!r.ok() || count > r.remaining() / 20) return false;
+    rec.splices.resize(count);
+    for (Splice& sp : rec.splices) {
+      sp.offset = r.get_u64();
+      sp.erase_len = r.get_u64();
+      sp.insert = r.get_bytes();
+      if (!r.ok()) return false;
+    }
+    rec.wire_bytes = ServerCore::DeltaRecord::wire_size(rec.splices);
+    me->history.push_back(std::move(rec));
+  }
+  return true;
+}
+
+// "FST2": format version 2 adds each register's delta state. A version-1
+// image is rejected, and recovery falls back to full WAL replay.
+constexpr std::uint32_t kMagic = 0x46535432;
 // Caps against a corrupted length field forcing a huge allocation; far
 // above anything a real deployment produces (L and the schedule are
 // pruned/bounded by the protocol's own dynamics, n by kMaxN upstream).
@@ -56,6 +120,7 @@ Bytes encode_server_state(const ServerCore& core) {
     w.put_u8(me.value.has_value() ? 1 : 0);
     if (me.value.has_value()) w.put_bytes(me.value->view());
     w.put_bytes(me.data_sig.view());
+    put_delta_state(w, me);
   }
   w.put_u32(static_cast<std::uint32_t>(core.last_committer()));
   for (ClientId i = 1; i <= n; ++i) {
@@ -102,6 +167,7 @@ bool restore_server_state(ServerCore& core, BytesView image) {
     const BytesView sig = r.get_bytes_view();
     if (wire::Reader::is_error(sig)) return false;
     me.data_sig = SharedBytes::copy_of(sig);
+    if (!get_delta_state(r, &me)) return false;
   }
 
   const std::uint32_t c = r.get_u32();
@@ -114,8 +180,11 @@ bool restore_server_state(ServerCore& core, BytesView image) {
     if (!r.ok()) return false;
   }
 
+  // Counts are also capped by what the rest of the image can hold (an L
+  // entry takes at least 13 bytes, a schedule entry 17), so a corrupted
+  // count is refused before it sizes an allocation.
   const std::uint32_t l_count = r.get_u32();
-  if (!r.ok() || l_count > kMaxList) return false;
+  if (!r.ok() || l_count > kMaxList || l_count > r.remaining() / 13) return false;
   std::vector<InvocationTuple> concurrent(l_count);
   for (auto& inv : concurrent) {
     inv.client = static_cast<ClientId>(r.get_u32());
@@ -134,7 +203,7 @@ bool restore_server_state(ServerCore& core, BytesView image) {
   }
 
   const std::uint32_t s_count = r.get_u32();
-  if (!r.ok() || s_count > kMaxList) return false;
+  if (!r.ok() || s_count > kMaxList || s_count > r.remaining() / 17) return false;
   std::vector<ScheduledOp> schedule(s_count);
   for (auto& op : schedule) {
     op.client = static_cast<ClientId>(r.get_u32());

@@ -1,14 +1,15 @@
 // Canonical serialization of a ServerCore's protocol state — the payload
 // of the durability layer's snapshots (storage/snapshot_store.h).
 //
-// The image covers exactly Algorithm 2's state: MEM (timestamp, value,
-// DATA signature per register), the last-committer pointer c, SVER, the
+// The image covers Algorithm 2's state: MEM (timestamp, value, DATA
+// signature per register), the last-committer pointer c, SVER, the
 // concurrent-operations list L, the proof vector P, and the schedule log
-// (the recovery oracle the tests compare). Derived per-register delta
-// bookkeeping (chunk-tree digest, splice history) is deliberately NOT
-// serialized: it rebuilds lazily, and a restored server answers
-// advertised-base reads with "unchanged" or full replies until fresh
-// deltas accumulate — correct, just momentarily less compact.
+// (the recovery oracle the tests compare). It also carries each
+// register's D6 delta bookkeeping (chunk-tree digest, splice history):
+// the reply to an advertised-base read depends on it, so without it a
+// log suffix replayed over a restored core would re-encode a REPLY_DELTA
+// of the live run as a full REPLY, and the reply cache would hold bytes
+// the client never saw (DESIGN.md D7).
 //
 // Encoding goes through wire::Writer/Reader (DESIGN.md D3), so an image
 // has a unique byte representation; decode is defensive (false on any

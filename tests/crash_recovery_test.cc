@@ -8,11 +8,13 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "crypto/chunked_hasher.h"
 #include "crypto/signature.h"
 #include "faust/cluster.h"
 #include "net/network.h"
@@ -38,6 +40,70 @@ struct TempDirFixture {
   }
   ~TempDirFixture() { std::filesystem::remove_all(path); }
 };
+
+// --- Delta-wire helpers (D6 clients against a durable server) --------------
+
+/// A client on the D6 delta wire: chunk-tree digests, deltas on.
+std::unique_ptr<ustor::Client> delta_client(ClientId id, int n,
+                                            std::shared_ptr<const crypto::SignatureScheme> sigs,
+                                            net::Transport& net) {
+  return std::make_unique<ustor::Client>(id, n, std::move(sigs), net, kServerNode, 4096,
+                                         ustor::DigestMode::kChunked, /*wire_deltas=*/true);
+}
+
+/// A 4 KiB register value; `edits` stamps distinct bytes at a few offsets,
+/// so consecutive versions differ in a handful of bytes.
+Bytes big_value(std::uint8_t fill, int edits) {
+  Bytes v(4096, fill);
+  for (int e = 0; e < edits; ++e) {
+    v[static_cast<std::size_t>(512 * e + 7)] = static_cast<std::uint8_t>(e + 1);
+  }
+  return v;
+}
+
+void drive(sim::Scheduler& sched, const bool& done) {
+  while (!done && sched.step()) {
+  }
+  ASSERT_TRUE(done);
+}
+
+void write_full(sim::Scheduler& sched, ustor::Client& c, const Bytes& v) {
+  bool done = false;
+  c.writex(v, [&done](const ustor::WriteResult&) { done = true; });
+  drive(sched, done);
+}
+
+/// Publishes `next` as one splice over the bytes where it differs from
+/// `prev`, the writer's previous value.
+void write_delta(sim::Scheduler& sched, ustor::Client& c, const Bytes& prev, const Bytes& next) {
+  ASSERT_EQ(prev.size(), next.size());
+  std::size_t lo = 0, hi = next.size();
+  while (lo < hi && prev[lo] == next[lo]) ++lo;
+  while (hi > lo && prev[hi - 1] == next[hi - 1]) --hi;
+  std::vector<ustor::Splice> splices{
+      ustor::Splice{lo, hi - lo, Bytes(next.begin() + static_cast<std::ptrdiff_t>(lo),
+                                       next.begin() + static_cast<std::ptrdiff_t>(hi))}};
+  bool done = false;
+  c.writex_delta(crypto::ChunkedHasher::digest(prev), crypto::ChunkedHasher::digest(next),
+                 next.size(), std::move(splices),
+                 [&done](const ustor::WriteResult&) { done = true; });
+  drive(sched, done);
+}
+
+ustor::Value read_sync(sim::Scheduler& sched, ustor::Client& c, ClientId j) {
+  bool done = false;
+  ustor::Value v;
+  c.readx(j, [&](const ustor::ReadResult& r) {
+    v = r.value;
+    done = true;
+  });
+  drive(sched, done);
+  return v;
+}
+
+bool is_reply_delta(const Bytes& reply) {
+  return ustor::peek_type(reply) == ustor::MsgType::kReplyDelta;
+}
 
 // --- Exactly-once resume at the protocol layer ----------------------------
 
@@ -109,58 +175,199 @@ TEST(CrashRecovery, DuplicateSubmitServedFromReplyCache) {
 TEST(CrashRecovery, SnapshotRecoveryMatchesFullReplay) {
   // The same on-disk history recovered two ways — verified snapshot plus
   // log suffix, and full log replay — must yield byte-identical protocol
-  // state (the canonical state-codec image makes this one comparison).
+  // state (the canonical state-codec image makes this one comparison) and
+  // byte-identical reply caches. The history mixes full and delta writes
+  // with advertised-base reads on both sides of the snapshot; the suffix
+  // reads are answered with splices recorded BEFORE the snapshot, so the
+  // image must carry the delta history for the suffix to re-encode them,
+  // and a full write in the suffix must discard the history it restored.
   constexpr int kN = 2;
   TempDirFixture dir("equiv");
   sim::Scheduler sched;
   net::Network net(sched, Rng(11), net::DelayModel{1, 4});
   auto sigs = crypto::make_hmac_scheme(kN);
-  ustor::Client c1(1, kN, sigs, net);
-  ustor::Client c2(2, kN, sigs, net);
+  auto c1 = delta_client(1, kN, sigs, net);
+  auto c2 = delta_client(2, kN, sigs, net);
+  const Bytes a0 = big_value('a', 0), a1 = big_value('a', 1), a2 = big_value('a', 2);
+  const Bytes b0 = big_value('b', 0), b1 = big_value('b', 1), b2 = big_value('b', 2);
 
   {
     storage::PersistentServer server(kN, net, dir.path, storage::DurabilityOptions{});
-    const auto write_sync = [&](ustor::Client& c, std::string_view v) {
-      bool done = false;
-      c.writex(to_bytes(v), [&done](const ustor::WriteResult&) { done = true; });
-      while (!done && sched.step()) {
-      }
-      ASSERT_TRUE(done);
-    };
-    write_sync(c1, "alpha");
-    write_sync(c2, "beta");
-    write_sync(c1, "gamma");
+    write_full(sched, *c1, a0);
+    write_full(sched, *c2, b0);
+    ASSERT_EQ(read_sync(sched, *c2, 1), a0);  // memoizes the a0 base
+    ASSERT_EQ(read_sync(sched, *c1, 2), b0);  // memoizes the b0 base
+    write_delta(sched, *c1, a0, a1);
+    write_delta(sched, *c2, b0, b1);
     sched.run();
     ASSERT_TRUE(server.force_snapshot());
 
     // A couple more ops AFTER the snapshot, so recovery exercises the
     // snapshot + suffix path, not snapshot-only.
-    write_sync(c2, "delta");
+    write_delta(sched, *c1, a1, a2);
+    ASSERT_EQ(read_sync(sched, *c2, 1), a2);  // splices a0→a1→a2
+    ASSERT_EQ(read_sync(sched, *c1, 2), b1);  // splices b0→b1
     sched.run();
+    EXPECT_EQ(c1->delta_replies_spliced() + c2->delta_replies_spliced(), 2u);
+    for (const Bytes& reply : server.cached_replies()) EXPECT_TRUE(is_reply_delta(reply));
+    // A full SUBMIT replaces X_2 and discards its delta history, so the
+    // next read of X_2 against the b1 base gets the whole value.
+    write_full(sched, *c2, b2);
+    ASSERT_EQ(read_sync(sched, *c1, 2), b2);
+    sched.run();
+    EXPECT_EQ(c1->delta_replies_spliced() + c2->delta_replies_spliced(), 2u);
+    EXPECT_FALSE(is_reply_delta(server.cached_replies()[0]));
     net.kill(kServerNode);
   }
 
   Bytes via_snapshot;
+  std::vector<Bytes> replies_via_snapshot;
   std::size_t suffix_records = 0;
   {
     storage::PersistentServer server(kN, net, dir.path, storage::DurabilityOptions{});
     EXPECT_TRUE(server.recovered_from_snapshot());
     suffix_records = server.recovered_records();
     via_snapshot = ustor::encode_server_state(server.core());
+    replies_via_snapshot = server.cached_replies();
     net.kill(kServerNode);
   }
   ASSERT_TRUE(std::filesystem::remove(dir.path + "/snapshot.bin"));
   Bytes via_replay;
+  std::vector<Bytes> replies_via_replay;
   {
     storage::PersistentServer server(kN, net, dir.path, storage::DurabilityOptions{});
     EXPECT_FALSE(server.recovered_from_snapshot());
     EXPECT_GT(server.recovered_records(), suffix_records)
         << "full replay must deliver more records than the suffix";
     via_replay = ustor::encode_server_state(server.core());
+    replies_via_replay = server.cached_replies();
     net.kill(kServerNode);
   }
   EXPECT_EQ(via_snapshot, via_replay)
       << "snapshot + suffix and full replay must reach identical state";
+  EXPECT_EQ(replies_via_snapshot, replies_via_replay)
+      << "snapshot + suffix and full replay must cache identical reply bytes";
+  EXPECT_FALSE(c1->failed());
+  EXPECT_FALSE(c2->failed());
+}
+
+/// Forwards to a Network and records each client's latest SUBMIT and
+/// every message the server sends.
+class TapTransport : public net::Transport {
+ public:
+  explicit TapTransport(net::Network& inner) : inner_(inner) {}
+  void attach(NodeId id, net::Node& node) override { inner_.attach(id, node); }
+  void detach(NodeId id) override { inner_.detach(id); }
+  void send(NodeId from, NodeId to, Bytes msg) override {
+    if (to == kServerNode && ustor::peek_type(msg) != ustor::MsgType::kCommit) {
+      last_submit[from] = msg;
+    }
+    if (from == kServerNode) from_server[to].push_back(msg);
+    inner_.send(from, to, std::move(msg));
+  }
+
+  std::map<NodeId, Bytes> last_submit;
+  std::map<NodeId, std::vector<Bytes>> from_server;
+
+ private:
+  net::Network& inner_;
+};
+
+TEST(CrashRecovery, DuplicateDeltaReadAfterSnapshotRecoveryGetsOriginalBytes) {
+  // D10 chaos can deliver a duplicate of a SUBMIT long after its reply
+  // arrived, even after a server restart. The restarted server answers it
+  // from the reply cache, and the client drops the answer as an echo only
+  // if its bytes match the reply it already processed. Here the read's
+  // REPLY_DELTA splices a record written before the snapshot and the read
+  // itself is in the log suffix: recovery must re-encode it byte for byte.
+  constexpr int kN = 2;
+  TempDirFixture dir("dup_delta");
+  sim::Scheduler sched;
+  net::Network net(sched, Rng(31), net::DelayModel{1, 4});
+  TapTransport tap(net);
+  auto sigs = crypto::make_hmac_scheme(kN);
+  auto c1 = delta_client(1, kN, sigs, tap);
+  auto c2 = delta_client(2, kN, sigs, tap);
+  const Bytes a0 = big_value('a', 0), a1 = big_value('a', 1);
+
+  auto server = std::make_unique<storage::PersistentServer>(kN, tap, dir.path,
+                                                            storage::DurabilityOptions{});
+  write_full(sched, *c1, a0);
+  ASSERT_EQ(read_sync(sched, *c2, 1), a0);
+  write_delta(sched, *c1, a0, a1);
+  sched.run();
+  ASSERT_TRUE(server->force_snapshot());
+
+  ASSERT_EQ(read_sync(sched, *c2, 1), a1);
+  ASSERT_EQ(c2->delta_replies_spliced(), 1u);
+  const Bytes read_submit = tap.last_submit.at(2);
+  const Bytes original_reply = tap.from_server.at(2).back();
+  ASSERT_TRUE(is_reply_delta(original_reply));
+  sched.run();  // drain the trailing COMMIT into the log
+
+  net.kill(kServerNode);
+  server.reset();
+  sched.run();
+  server = std::make_unique<storage::PersistentServer>(kN, tap, dir.path,
+                                                       storage::DurabilityOptions{});
+  ASSERT_TRUE(server->recovered_from_snapshot());
+
+  tap.send(2, kServerNode, read_submit);  // the late duplicate
+  sched.run();
+  EXPECT_EQ(server->duplicate_replies(), 1u);
+  EXPECT_EQ(tap.from_server.at(2).back(), original_reply)
+      << "the cache must answer with the bytes the live run sent";
+  EXPECT_EQ(c2->stale_replies_dropped(), 1u) << "the echo must be recognised and dropped";
+  EXPECT_FALSE(c1->failed());
+  EXPECT_FALSE(c2->failed());
+}
+
+TEST(CrashRecovery, OldFormatSnapshotFallsBackToFullReplay) {
+  // Images of an older state-codec format lack the delta history; they are
+  // refused by their format magic, and recovery replays the whole log —
+  // the same fallback as for a snapshot that fails its integrity check.
+  constexpr int kN = 2;
+  TempDirFixture dir("old_format");
+  sim::Scheduler sched;
+  net::Network net(sched, Rng(37), net::DelayModel{1, 4});
+  auto sigs = crypto::make_hmac_scheme(kN);
+  auto c1 = delta_client(1, kN, sigs, net);
+  auto c2 = delta_client(2, kN, sigs, net);
+  const Bytes a0 = big_value('a', 0), a1 = big_value('a', 1);
+
+  Bytes state_before;
+  {
+    storage::PersistentServer server(kN, net, dir.path, storage::DurabilityOptions{});
+    write_full(sched, *c1, a0);
+    ASSERT_EQ(read_sync(sched, *c2, 1), a0);
+    write_delta(sched, *c1, a0, a1);
+    sched.run();
+    ASSERT_TRUE(server.force_snapshot());
+    state_before = ustor::encode_server_state(server.core());
+    net.kill(kServerNode);
+  }
+
+  // Rewrite the snapshot with the image's magic set to format 1 ("FST1").
+  // The payload is u32 image length ‖ image ‖ replies; the magic is the
+  // image's first u32.
+  {
+    storage::SnapshotStore store(dir.path + "/snapshot.bin");
+    auto img = store.load();
+    ASSERT_TRUE(img.has_value());
+    Bytes payload = img->payload;
+    ASSERT_GT(payload.size(), 8u);
+    ASSERT_EQ(payload[4], 0x32);  // low byte of "FST2"
+    payload[4] = 0x31;
+    ASSERT_TRUE(store.save(img->log_records, payload));
+  }
+
+  storage::PersistentServer server(kN, net, dir.path, storage::DurabilityOptions{});
+  EXPECT_FALSE(server.recovered_from_snapshot());
+  EXPECT_EQ(server.recovered_records(), server.wal_records()) << "fallback is full log replay";
+  EXPECT_EQ(ustor::encode_server_state(server.core()), state_before);
+  ASSERT_EQ(read_sync(sched, *c2, 1), a1);
+  EXPECT_FALSE(c1->failed());
+  EXPECT_FALSE(c2->failed());
 }
 
 TEST(CrashRecovery, TamperedSnapshotRejectedFallsBackToLogReplay) {

@@ -6,12 +6,18 @@
 // ephemeral ports; each test owns its runtime and transports.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -397,6 +403,130 @@ TEST(SocketTransport, LocalDeliveryNeedsNoSocket) {
   EXPECT_EQ(w.socket_bytes_out, 0u);
   EXPECT_EQ(t.total().messages, 1u) << "local sends still count in the mirror";
   t.detach(7);
+}
+
+/// Runs every task at once, on the calling thread. Under a
+/// SocketTransport that is the loop thread, so a node's on_message runs
+/// inside one loop iteration, between two polls.
+class InlineExecutor : public exec::Executor {
+ public:
+  exec::Time now() const override { return 0; }
+  exec::EventId after(exec::Time, Task task) override {
+    task();
+    return 0;
+  }
+  exec::EventId at(exec::Time, Task task) override {
+    task();
+    return 0;
+  }
+  void cancel(exec::EventId) override {}
+};
+
+/// A blocking UDS stream connected to `path`: a peer that speaks the frame
+/// protocol by hand.
+int raw_uds_connect(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::copy(path.begin(), path.end(), addr.sun_path);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool raw_write(int fd, const Bytes& b) {
+  return ::write(fd, b.data(), b.size()) == static_cast<ssize_t>(b.size());
+}
+
+bool wait_until(const std::function<bool()>& cond) {
+  const auto deadline = std::chrono::steady_clock::now() + kWait;
+  while (!cond()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(SocketTransport, WriteToClosedPeerClosesConnInsteadOfRaisingSigpipe) {
+  // Peer B introduces node 20 and is then closed from inside node 1's
+  // on_message, which also sends to node 20. The inline executor runs that
+  // on the loop thread, so the loop's next step writes to B's connection
+  // before any poll can report the close: write(2) would raise SIGPIPE and
+  // kill this process; the transport must see EPIPE and close the conn.
+  UdsDir dir;
+  InlineExecutor exec;
+  SocketTransportConfig cfg;
+  cfg.listen = Endpoint::uds(dir.path + "/t.sock");
+  SocketTransport t(exec, cfg);
+
+  class CloseAndSend : public net::Node {
+   public:
+    CloseAndSend(SocketTransport& t, int victim) : t_(t), victim_(victim) {}
+    void on_message(NodeId from, BytesView) override {
+      if (from == 10 && victim_ >= 0) {
+        ::close(victim_);
+        victim_ = -1;
+        t_.send(1, 20, tagged(1, 8));
+      }
+      seen.fetch_add(1);
+    }
+    std::atomic<int> seen{0};
+
+   private:
+    SocketTransport& t_;
+    int victim_;
+  };
+
+  const int b = raw_uds_connect(cfg.listen->path);
+  ASSERT_GE(b, 0);
+  CloseAndSend node(t, b);
+  t.attach(1, node);
+  ASSERT_TRUE(raw_write(b, encode_hello_frame(1)));
+  ASSERT_TRUE(raw_write(b, encode_data_frame(20, 1, tagged(1, 8))));
+  ASSERT_TRUE(wait_until([&] { return node.seen.load() == 1; }));
+
+  const int a = raw_uds_connect(cfg.listen->path);
+  ASSERT_GE(a, 0);
+  ASSERT_TRUE(raw_write(a, encode_hello_frame(1)));
+  ASSERT_TRUE(raw_write(a, encode_data_frame(10, 1, tagged(1, 8))));
+  ASSERT_TRUE(wait_until([&] { return t.wire().down_drops == 1; }))
+      << "the frame for node 20 must be dropped with B's connection";
+  EXPECT_GE(t.wire().disconnects, 1u);
+
+  // The transport keeps serving the other connection.
+  ASSERT_TRUE(raw_write(a, encode_data_frame(10, 1, tagged(1, 8))));
+  EXPECT_TRUE(wait_until([&] { return node.seen.load() == 3; }));
+  t.detach(1);
+  ::close(a);
+}
+
+TEST(Endpoint, AcceptedTcpConnectionsDisableNagle) {
+  // Both ends of a TCP stream set TCP_NODELAY: replies are small frames
+  // written back to back, and behind Nagle each would wait for the peer's
+  // delayed ACK.
+  std::string err;
+  Endpoint bound;
+  const int lfd = listen_socket(Endpoint::tcp("127.0.0.1", 0), bound, err);
+  ASSERT_GE(lfd, 0) << err;
+  bool in_progress = false;
+  const int cfd = connect_socket(bound, in_progress, err);
+  ASSERT_GE(cfd, 0) << err;
+  int afd = -1;
+  ASSERT_TRUE(wait_until([&] {
+    afd = accept_socket(lfd, Endpoint::Kind::kTcp);
+    return afd >= 0;
+  }));
+  for (const int fd : {cfd, afd}) {
+    int on = 0;
+    socklen_t len = sizeof(on);
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len), 0);
+    EXPECT_NE(on, 0) << (fd == cfd ? "dialed" : "accepted") << " side";
+  }
+  ::close(afd);
+  ::close(cfd);
+  ::close(lfd);
 }
 
 TEST(SocketTransport, UnroutableSendsAreCountedNotFatal) {

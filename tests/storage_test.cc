@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "crypto/chunked_hasher.h"
 #include "crypto/signature.h"
 #include "net/network.h"
 #include "sim/scheduler.h"
@@ -329,6 +330,94 @@ TEST(SnapshotStore, TamperAndTornRejectionAtEveryOffset) {
   }
 }
 
+/// A core whose image fills every field: values and DATA signatures, a
+/// two-record delta history on register 1, a digest computed by an
+/// advertised read of register 2, L, P, SVER and the schedule.
+ustor::ServerCore core_with_delta_state() {
+  ustor::ServerCore core(2);
+  const auto inv = [](ClientId i, ustor::OpCode oc, ClientId j) {
+    return ustor::InvocationTuple{i, oc, j, to_bytes("sigma")};
+  };
+  const auto submit = [&](Timestamp t, ClientId i, ustor::OpCode oc, ClientId j,
+                          ustor::Value v) {
+    core.process_submit(
+        ustor::SubmitMessage{t, inv(i, oc, j), std::move(v), to_bytes("delta"), {}});
+  };
+  const auto answer_delta = [&](const Bytes& msg) {
+    const auto view = ustor::decode_submit_delta_view(msg);
+    ASSERT_TRUE(view.has_value());
+    ASSERT_TRUE(core.answer_submit_delta(*view, nullptr).has_value());
+  };
+  Bytes v0(300, 'a');
+  Bytes v1 = v0, v2 = v0;
+  v1[10] = 'b';
+  v2[10] = 'b';
+  v2[200] = 'c';
+  const auto digest = [](const Bytes& v) { return crypto::ChunkedHasher::digest(v); };
+  const std::vector<ustor::Splice> s1{ustor::Splice{10, 1, to_bytes("b")}};
+  const std::vector<ustor::Splice> s2{ustor::Splice{200, 1, to_bytes("c")}};
+
+  submit(1, 1, ustor::OpCode::kWrite, 1, v0);
+  submit(1, 2, ustor::OpCode::kWrite, 2, to_bytes("two"));
+  answer_delta(ustor::encode_submit_delta(2, inv(1, ustor::OpCode::kWrite, 1), digest(v0),
+                                          digest(v1), v1.size(), s1, to_bytes("delta")));
+  answer_delta(ustor::encode_submit_delta(3, inv(1, ustor::OpCode::kWrite, 1), digest(v1),
+                                          digest(v2), v2.size(), s2, to_bytes("delta")));
+  answer_delta(ustor::encode_submit_read_base(2, inv(2, ustor::OpCode::kRead, 2), 1,
+                                              digest(to_bytes("two")), to_bytes("delta")));
+  ustor::Version v(2);
+  v.V[0] = 3;
+  v.V[1] = 1;
+  core.process_commit(1, ustor::CommitMessage{v, to_bytes("phi"), to_bytes("psi")});
+  return core;
+}
+
+TEST(StateCodec, DeltaStateRoundtripsAndDamagedImagesRejectedOrCanonical) {
+  // The snapshot image is untrusted bytes from disk. Its D6 delta state
+  // (digest, splice history) must round-trip exactly; a truncation at any
+  // offset must be refused with the target core untouched; a bit flip at
+  // any offset must be refused, or accepted only as the canonical image of
+  // the state it decodes to — never crash or allocate from a bad count.
+  const ustor::ServerCore core = core_with_delta_state();
+  ASSERT_EQ(core.mem(1).history.size(), 2u);
+  ASSERT_TRUE(core.mem(2).digest_known);
+  const Bytes image = ustor::encode_server_state(core);
+  const Bytes fresh = ustor::encode_server_state(ustor::ServerCore(2));
+
+  ustor::ServerCore back(2);
+  ASSERT_TRUE(ustor::restore_server_state(back, image));
+  EXPECT_EQ(ustor::encode_server_state(back), image);
+  ASSERT_EQ(back.mem(1).history.size(), 2u);
+  for (std::size_t q = 0; q < 2; ++q) {
+    const auto& want = core.mem(1).history[q];
+    const auto& got = back.mem(1).history[q];
+    EXPECT_EQ(got.from, want.from);
+    EXPECT_EQ(got.to, want.to);
+    EXPECT_EQ(got.new_size, want.new_size);
+    EXPECT_EQ(got.splices, want.splices);
+    EXPECT_EQ(got.wire_bytes, want.wire_bytes);
+  }
+  EXPECT_EQ(back.mem(1).digest, core.mem(1).digest);
+  EXPECT_EQ(back.mem(2).digest, core.mem(2).digest);
+
+  for (std::size_t cut = 0; cut < image.size(); ++cut) {
+    ustor::ServerCore target(2);
+    EXPECT_FALSE(ustor::restore_server_state(target, BytesView(image.data(), cut)))
+        << "cut at byte " << cut;
+    EXPECT_EQ(ustor::encode_server_state(target), fresh) << "cut at byte " << cut;
+  }
+  for (std::size_t at = 0; at < image.size(); ++at) {
+    for (const std::uint8_t mask : {0x01, 0x80}) {
+      Bytes mod = image;
+      mod[at] ^= mask;
+      ustor::ServerCore target(2);
+      const bool accepted = ustor::restore_server_state(target, mod);
+      EXPECT_EQ(ustor::encode_server_state(target), accepted ? mod : fresh)
+          << "flip " << int{mask} << " at byte " << at;
+    }
+  }
+}
+
 TEST(PersistentServerTest, CrashRecoveryIsInvisibleToClients) {
   constexpr int kN = 3;
   TempFile tmp("server");
@@ -426,6 +515,76 @@ TEST(PersistentServerTest, DoubleCrashStillConsistent) {
   EXPECT_EQ(to_string(*v), "round-2");
   EXPECT_FALSE(c1.failed());
   EXPECT_FALSE(c2.failed());
+}
+
+TEST(PersistentServerTest, SendersOutsideTheClientRangeNeverReachTheWal) {
+  // A socket transport passes through the sender id a peer claims. A
+  // COMMIT, SUBMIT or read SUBMIT_DELTA from an id outside 1..n, or a
+  // SUBMIT naming a target outside 1..n, must be dropped before the WAL:
+  // once logged, it would abort every later recovery. A COMMIT over a
+  // version of another size is ignored by the core. The in-memory server
+  // drops the same messages.
+  constexpr int kN = 2;
+  TempDirFixture dir("range");
+  sim::Scheduler sched;
+  net::Network net(sched, Rng(41), net::DelayModel{1, 3});
+  auto sigs = crypto::make_hmac_scheme(kN);
+  ustor::Client c1(1, kN, sigs, net);
+  auto server = std::make_unique<PersistentServer>(kN, net, dir.path, DurabilityOptions{});
+  net::Network other_net(sched, Rng(43));
+  ustor::Server memory(kN, other_net);
+
+  const auto write_sync = [&](std::string_view v) {
+    bool done = false;
+    c1.writex(to_bytes(v), [&done](const ustor::WriteResult&) { done = true; });
+    while (!done && sched.step()) {
+    }
+    ASSERT_TRUE(done);
+    sched.run();
+  };
+  write_sync("before");
+
+  const auto inv = [](ClientId i, ustor::OpCode oc, ClientId j) {
+    return ustor::InvocationTuple{i, oc, j, to_bytes("sigma")};
+  };
+  const Bytes commit = ustor::encode(
+      ustor::CommitMessage{ustor::Version(kN), to_bytes("phi"), to_bytes("psi")});
+  const Bytes sig = to_bytes("delta");
+  const std::vector<std::pair<NodeId, Bytes>> outside = {
+      {5, commit},
+      {0, commit},
+      {-1, commit},
+      {5, ustor::encode_submit(9, inv(5, ustor::OpCode::kWrite, 5), BytesView(sig), sig)},
+      {5, ustor::encode_submit_read_base(9, inv(5, ustor::OpCode::kRead, 1), 1,
+                                         crypto::Hash{}, sig)},
+      {1, ustor::encode_submit(9, inv(1, ustor::OpCode::kRead, 7), std::nullopt, sig)},
+      {1, ustor::encode_submit_read_base(9, inv(1, ustor::OpCode::kRead, 0), 1,
+                                         crypto::Hash{}, sig)},
+  };
+  const std::uint64_t records = server->wal_records();
+  for (const auto& [from, msg] : outside) {
+    server->on_message(from, msg);
+    memory.on_message(from, msg);
+  }
+  EXPECT_EQ(server->wal_records(), records) << "nothing from outside 1..n may be logged";
+
+  const Bytes wide_commit = ustor::encode(
+      ustor::CommitMessage{ustor::Version(kN + 1), to_bytes("phi"), to_bytes("psi")});
+  server->on_message(1, wide_commit);
+  memory.on_message(1, wide_commit);
+  sched.run();
+  const Bytes state = ustor::encode_server_state(server->core());
+
+  // Reopen the directory: recovery replays the whole log and succeeds.
+  net.kill(kServerNode);
+  server.reset();
+  server = std::make_unique<PersistentServer>(kN, net, dir.path, DurabilityOptions{});
+  EXPECT_EQ(server->recovered_records(), server->wal_records());
+  EXPECT_EQ(ustor::encode_server_state(server->core()), state);
+  write_sync("after");
+  ASSERT_TRUE(server->core().mem(1).value.has_value());
+  EXPECT_EQ(to_string(server->core().mem(1).value->to_bytes()), "after");
+  EXPECT_FALSE(c1.failed());
 }
 
 }  // namespace

@@ -18,6 +18,9 @@
 //     identical merged views and stability cuts, single and sharded.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -42,9 +45,30 @@ constexpr auto kSubmitDeltaTag = static_cast<std::uint8_t>(ustor::MsgType::kSubm
 constexpr auto kReplyTag = static_cast<std::uint8_t>(ustor::MsgType::kReply);
 constexpr auto kReplyDeltaTag = static_cast<std::uint8_t>(ustor::MsgType::kReplyDelta);
 
+/// Which correct server answers the rig's clients: the in-memory
+/// ustor::Server, or the crash-durable storage::PersistentServer (WAL in
+/// a fresh temp directory). Both answer SUBMIT_DELTA the same way.
+enum class Backend { kMemory, kDurable };
+
+/// Fresh temp directory; removed recursively on destruction.
+struct TempDir {
+  std::string path;
+  TempDir() {
+    path = std::string(::testing::TempDir()) + "/faust_wire_delta_" +
+           std::to_string(::getpid()) + "_" +
+           std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    std::filesystem::remove_all(path);
+  }
+  ~TempDir() { std::filesystem::remove_all(path); }
+};
+
+const char* backend_name(Backend b) {
+  return b == Backend::kMemory ? "ustor::Server" : "storage::PersistentServer";
+}
+
 struct Rig {
   explicit Rig(std::uint64_t seed, bool wire_deltas = true, int n = 3,
-               bool with_server = true) {
+               bool with_server = true, Backend backend = Backend::kMemory) {
     ClusterConfig cfg;
     cfg.n = n;
     cfg.seed = seed;
@@ -52,6 +76,7 @@ struct Rig {
     cfg.faust.probe_check_period = 0;
     cfg.faust.wire_deltas = wire_deltas;
     cfg.with_server = with_server;
+    if (backend == Backend::kDurable) cfg.durability_dir = dir.path;
     cluster = std::make_unique<Cluster>(cfg);
     for (ClientId i = 1; i <= n; ++i) {
       kv.push_back(std::make_unique<KvClient>(cluster->client(i), kDelta));
@@ -110,6 +135,7 @@ struct Rig {
     ASSERT_TRUE(done);
   }
 
+  TempDir dir;  // declared first: outlives the cluster's WAL handle
   std::unique_ptr<Cluster> cluster;
   std::vector<std::unique_ptr<KvClient>> kv;
 };
@@ -139,31 +165,34 @@ TEST(WireDelta, DeltaWritePathShipsSplicesAndVerifies) {
 }
 
 TEST(WireDelta, NetworkCountersBucketizeByTagAndSumToTotal) {
-  Rig rig(102);
-  rig.put(1, "a", "1");
-  rig.put(1, "a", "2");
-  std::optional<KvEntry> e;
-  ASSERT_TRUE(rig.try_get(2, "a", &e));
-  ASSERT_TRUE(rig.try_get(2, "a", &e));
+  for (const Backend backend : {Backend::kMemory, Backend::kDurable}) {
+    SCOPED_TRACE(backend_name(backend));
+    Rig rig(102, true, 3, true, backend);
+    rig.put(1, "a", "1");
+    rig.put(1, "a", "2");
+    std::optional<KvEntry> e;
+    ASSERT_TRUE(rig.try_get(2, "a", &e));
+    ASSERT_TRUE(rig.try_get(2, "a", &e));
 
-  const net::Network& net = rig.cluster->net();
-  std::uint64_t msgs = 0, bytes = 0;
-  for (const net::ChannelStats& s : net.total_by_type()) {
-    msgs += s.messages;
-    bytes += s.bytes;
+    const net::Network& net = rig.cluster->net();
+    std::uint64_t msgs = 0, bytes = 0;
+    for (const net::ChannelStats& s : net.total_by_type()) {
+      msgs += s.messages;
+      bytes += s.bytes;
+    }
+    EXPECT_EQ(msgs, net.total().messages);
+    EXPECT_EQ(bytes, net.total().bytes);
+    // The workload exercised full submits, delta submits, full replies and
+    // delta replies; every bucket it used is non-empty.
+    EXPECT_GT(net.total_for(kSubmitTag).messages, 0u);
+    EXPECT_GT(net.total_for(kSubmitDeltaTag).messages, 0u);
+    EXPECT_GT(net.total_for(kReplyTag).messages, 0u);
+    EXPECT_GT(net.total_for(kReplyDeltaTag).messages, 0u);
+    // Per-channel accounting: the reader→server channel carries its delta
+    // submits and nothing of the server→reader reply traffic.
+    EXPECT_GT(net.channel_for(2, kServerNode, kSubmitDeltaTag).messages, 0u);
+    EXPECT_EQ(net.channel_for(2, kServerNode, kReplyDeltaTag).messages, 0u);
   }
-  EXPECT_EQ(msgs, net.total().messages);
-  EXPECT_EQ(bytes, net.total().bytes);
-  // The workload exercised full submits, delta submits, full replies and
-  // delta replies; every bucket it used is non-empty.
-  EXPECT_GT(net.total_for(kSubmitTag).messages, 0u);
-  EXPECT_GT(net.total_for(kSubmitDeltaTag).messages, 0u);
-  EXPECT_GT(net.total_for(kReplyTag).messages, 0u);
-  EXPECT_GT(net.total_for(kReplyDeltaTag).messages, 0u);
-  // Per-channel accounting: the reader→server channel carries its delta
-  // submits and nothing of the server→reader reply traffic.
-  EXPECT_GT(net.channel_for(2, kServerNode, kSubmitDeltaTag).messages, 0u);
-  EXPECT_EQ(net.channel_for(2, kServerNode, kReplyDeltaTag).messages, 0u);
 }
 
 // --- The acceptance bounds -------------------------------------------------
@@ -193,8 +222,8 @@ TEST(WireDelta, SubmitBytesPerPutTrackTheChangeNotTheKeyspace) {
 }
 
 /// REPLY_DELTA bytes for one all-unchanged get after bulk-loading K keys.
-std::uint64_t unchanged_read_bytes(int k_keys, std::uint64_t seed) {
-  Rig rig(seed);
+std::uint64_t unchanged_read_bytes(int k_keys, std::uint64_t seed, Backend backend) {
+  Rig rig(seed, true, 3, true, backend);
   // Every writer holds a K/3-key partition, so the reader ends up with a
   // verified base for all three registers.
   for (ClientId w = 1; w <= 3; ++w) {
@@ -215,11 +244,14 @@ std::uint64_t unchanged_read_bytes(int k_keys, std::uint64_t seed) {
 TEST(WireDelta, AllUnchangedSnapshotReadShipsO1BytesPerPartition) {
   // The second acceptance bound, on the live counters: an all-unchanged
   // snapshot costs a small constant per partition, independent of K.
-  const std::uint64_t small = unchanged_read_bytes(256, 202);
-  const std::uint64_t large = unchanged_read_bytes(16384, 202);
-  EXPECT_EQ(large, small)
-      << "per-reply \"unchanged\" bytes must not depend on the keyspace";
-  EXPECT_LT(large, 1024u) << "the unchanged token must stay O(1)-sized";
+  for (const Backend backend : {Backend::kMemory, Backend::kDurable}) {
+    SCOPED_TRACE(backend_name(backend));
+    const std::uint64_t small = unchanged_read_bytes(256, 202, backend);
+    const std::uint64_t large = unchanged_read_bytes(16384, 202, backend);
+    EXPECT_EQ(large, small)
+        << "per-reply \"unchanged\" bytes must not depend on the keyspace";
+    EXPECT_LT(large, 1024u) << "the unchanged token must stay O(1)-sized";
+  }
 }
 
 // --- Fallback: evicted base mid-run ----------------------------------------
