@@ -1,81 +1,40 @@
 #include "adversary/delta_tamper_server.h"
 
-#include <span>
 #include <utility>
 
 namespace faust::adversary {
 
 DeltaTamperServer::DeltaTamperServer(int n, net::Transport& net, DeltaTamper mode,
                                      ClientId victim, int fire_on_read, NodeId self)
-    : core_(n), net_(net), self_(self), mode_(mode), victim_(victim),
+    : Server(n, net, self, Unattached{}), mode_(mode), victim_(victim),
       fire_on_read_(fire_on_read) {
-  net_.attach(self_, *this);
+  attach();
 }
 
-void DeltaTamperServer::on_message(NodeId from, BytesView msg) {
-  const auto type = ustor::peek_type(msg);
-  if (!type.has_value()) return;
-
-  switch (*type) {
-    case ustor::MsgType::kSubmit: {
-      auto m = ustor::decode_submit(msg);
-      if (!m.has_value()) return;
-      const ustor::ReplySnapshot reply = core_.process_submit(*m);
-      net_.send(self_, from, ustor::encode(reply));
-      break;
-    }
-    case ustor::MsgType::kSubmitDelta: {
-      const auto m = ustor::decode_submit_delta_view(msg);
-      if (!m.has_value()) return;
-      // Delta writes, and every read but the targeted one, are served
-      // honestly: the attack is one read reply.
-      const bool fire = m->inv.oc != ustor::OpCode::kWrite && m->inv.client == victim_ &&
-                        ++victim_reads_ == fire_on_read_ && mode_ != DeltaTamper::kNone &&
-                        !fired_;
-      if (fire) {
-        send_tampered_read(from, *m);
-        break;
-      }
-      auto reply = core_.answer_submit_delta(*m, nullptr);
-      if (reply.has_value()) net_.send(self_, from, std::move(*reply));
-      break;
-    }
-    case ustor::MsgType::kCommit: {
-      auto m = ustor::decode_commit(msg);
-      if (!m.has_value()) return;
-      core_.process_commit(static_cast<ClientId>(from), *m);
-      break;
-    }
-    default:
-      break;
+std::optional<Bytes> DeltaTamperServer::reply(ustor::ServerCore& /*core*/,
+                                              const ustor::ServerCore::Answer& a) {
+  // Delta writes, plain reads and every advertised read but the targeted
+  // one are served honestly: the attack is one read reply.
+  if (!a.advertised || a.op().client != victim_ || ++victim_reads_ != fire_on_read_ ||
+      mode_ == DeltaTamper::kNone || fired_) {
+    return a.encode();
   }
+  fired_ = true;
+  return tampered(a);
 }
 
-void DeltaTamperServer::send_tampered_read(NodeId from,
-                                           const ustor::SubmitDeltaMessageView& m) {
-  const ClientId j = m.inv.target;
-  if (!core_.is_client(j)) return;
-
-  ustor::SubmitMessage owned;
-  owned.t = m.t;
-  owned.inv = ustor::to_owned(m.inv);
-  owned.data_sig.assign(m.data_sig.begin(), m.data_sig.end());
-  const ustor::ReplySnapshot reply = core_.process_submit(owned);
-
-  ustor::ReadDeltaPlan plan;
-  const auto serving = core_.plan_read_delta(j, m.base_digest, &plan);
-  fired_ = true;
-
+Bytes DeltaTamperServer::tampered(const ustor::ServerCore::Answer& a) const {
   // Materialize a REPLY_DELTA the honest protocol would never send. The
   // version/L/P parts stay truthful — only the value transport lies, so
   // the victim's version checks pass and the data verification alone must
   // catch the corruption.
+  const ustor::ReplySnapshot& reply = a.reply;
   ustor::ReplyDeltaMessage rd;
   rd.c = reply.c;
   rd.last = reply.last;
   rd.read.writer = reply.read->writer;
   rd.read.tj = reply.read->tj;
-  rd.read.base_digest = m.base_digest;
+  rd.read.base_digest = a.plan.base_digest;
   rd.read.data_sig = reply.read->data_sig.to_bytes();
   rd.L.assign(reply.L->begin(),
               reply.L->begin() + static_cast<std::ptrdiff_t>(reply.l_count));
@@ -88,9 +47,9 @@ void DeltaTamperServer::send_tampered_read(NodeId from,
       break;
     case DeltaTamper::kSpliceBytes: {
       rd.read.unchanged = false;
-      if (serving == ustor::ServerCore::ReadServing::kDelta) {
-        rd.read.new_size = plan.new_size;
-        for (const auto& run : plan.runs) {
+      if (a.serving == ustor::ServerCore::ReadServing::kDelta) {
+        rd.read.new_size = a.plan.new_size;
+        for (const auto& run : a.plan.runs) {
           rd.read.splices.insert(rd.read.splices.end(), run.begin(), run.end());
         }
       } else {
@@ -130,7 +89,7 @@ void DeltaTamperServer::send_tampered_read(NodeId from,
       rd.read.base_digest[0] ^= 0x01;
       break;
   }
-  net_.send(self_, from, ustor::encode(rd));
+  return ustor::encode(rd);
 }
 
 }  // namespace faust::adversary

@@ -26,26 +26,22 @@ enum class DeltaTamper {
 
 /// A delta-speaking server, correct except for one targeted corruption of
 /// the victim's `fire_on_read`-th advertised-base read.
-class DeltaTamperServer : public net::Node {
+class DeltaTamperServer : public ustor::Server {
  public:
   DeltaTamperServer(int n, net::Transport& net, DeltaTamper mode, ClientId victim,
                     int fire_on_read = 1, NodeId self = kServerNode);
 
-  void on_message(NodeId from, BytesView msg) override;
-
-  ustor::ServerCore& core() { return core_; }
-
   /// True once the corruption has been sent.
   bool fired() const { return fired_; }
 
- private:
-  /// Runs the victim's targeted advertised-base read and sends the
-  /// corrupted REPLY_DELTA in its place.
-  void send_tampered_read(NodeId from, const ustor::SubmitDeltaMessageView& m);
+ protected:
+  std::optional<Bytes> reply(ustor::ServerCore& core,
+                             const ustor::ServerCore::Answer& a) override;
 
-  ustor::ServerCore core_;
-  net::Transport& net_;
-  const NodeId self_;
+ private:
+  /// The REPLY_DELTA sent in place of the victim's targeted read reply.
+  Bytes tampered(const ustor::ServerCore::Answer& a) const;
+
   const DeltaTamper mode_;
   const ClientId victim_;
   const int fire_on_read_;

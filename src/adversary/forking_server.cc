@@ -5,36 +5,34 @@
 namespace faust::adversary {
 
 ForkingServer::ForkingServer(int n, net::Transport& net, NodeId self)
-    : n_(n), net_(net), self_(self), fork_of_(static_cast<std::size_t>(n), 0) {
-  cores_.emplace_back(n);
-  net_.attach(self_, *this);
+    : Server(n, net, self, Unattached{}), fork_of_(static_cast<std::size_t>(n), 0) {
+  attach();
 }
 
 void ForkingServer::assign(ClientId c, int fork) {
-  FAUST_CHECK(c >= 1 && c <= n_);
+  FAUST_CHECK(c >= 1 && c <= core().n());
   FAUST_CHECK(fork >= 0 && fork < num_forks());
   fork_of_[static_cast<std::size_t>(c - 1)] = fork;
 }
 
 int ForkingServer::split(ClientId c) {
-  FAUST_CHECK(c >= 1 && c <= n_);
-  cores_.push_back(cores_[static_cast<std::size_t>(fork_of(c))]);  // deep copy
+  FAUST_CHECK(c >= 1 && c <= core().n());
+  forks_.push_back(core(fork_of(c)));  // deep copy
   const int fork = num_forks() - 1;
   fork_of_[static_cast<std::size_t>(c - 1)] = fork;
   return fork;
 }
 
 int ForkingServer::isolate(ClientId c) {
-  FAUST_CHECK(c >= 1 && c <= n_);
-  cores_.emplace_back(n_);
+  FAUST_CHECK(c >= 1 && c <= core().n());
+  forks_.emplace_back(core().n());
   const int fork = num_forks() - 1;
   fork_of_[static_cast<std::size_t>(c - 1)] = fork;
   return fork;
 }
 
 void ForkingServer::leak_submit(int fork, const ustor::SubmitMessage& m) {
-  FAUST_CHECK(fork >= 0 && fork < num_forks());
-  (void)cores_[static_cast<std::size_t>(fork)].process_submit(m);  // reply discarded
+  (void)core(fork).process_submit(m);  // reply discarded
 }
 
 const ustor::SubmitMessage* ForkingServer::last_submit(ClientId c) const {
@@ -43,47 +41,32 @@ const ustor::SubmitMessage* ForkingServer::last_submit(ClientId c) const {
 }
 
 int ForkingServer::fork_of(ClientId c) const {
-  FAUST_CHECK(c >= 1 && c <= n_);
+  FAUST_CHECK(c >= 1 && c <= core().n());
   return fork_of_[static_cast<std::size_t>(c - 1)];
 }
 
-void ForkingServer::on_message(NodeId from, BytesView msg) {
-  const auto type = ustor::peek_type(msg);
-  if (!type.has_value()) return;
-  const ClientId client = static_cast<ClientId>(from);
-  if (client < 1 || client > n_) return;
-  ustor::ServerCore& core = cores_[static_cast<std::size_t>(fork_of(client))];
+ustor::ServerCore& ForkingServer::core(int fork) {
+  FAUST_CHECK(fork >= 0 && fork < num_forks());
+  return fork == 0 ? core() : forks_[static_cast<std::size_t>(fork - 1)];
+}
 
-  switch (*type) {
-    case ustor::MsgType::kSubmit: {
-      auto m = ustor::decode_submit(msg);
-      if (!m.has_value()) return;
-      captured_[client] = *m;
-      const ustor::ReplySnapshot reply = core.process_submit(*m);
-      net_.send(self_, from, ustor::encode(reply));
-      break;
-    }
-    case ustor::MsgType::kSubmitDelta: {
-      // Expand against the client's own fork (the base it last submitted
-      // lives there) and serve a full REPLY — always accepted under D6.
-      const auto dm = ustor::decode_submit_delta_view(msg);
-      if (!dm.has_value()) return;
-      auto m = ustor::expand_submit_delta(core, *dm);
-      if (!m.has_value()) return;
-      captured_[client] = *m;
-      const ustor::ReplySnapshot reply = core.process_submit(*m);
-      net_.send(self_, from, ustor::encode(reply));
-      break;
-    }
-    case ustor::MsgType::kCommit: {
-      auto m = ustor::decode_commit(msg);
-      if (!m.has_value()) return;
-      core.process_commit(client, *m);
-      break;
-    }
-    default:
-      break;
-  }
+const ustor::ServerCore& ForkingServer::core(int fork) const {
+  FAUST_CHECK(fork >= 0 && fork < num_forks());
+  return fork == 0 ? core() : forks_[static_cast<std::size_t>(fork - 1)];
+}
+
+std::optional<Bytes> ForkingServer::reply(ustor::ServerCore& core,
+                                          const ustor::ServerCore::Answer& a) {
+  // The core now holds what the SUBMIT carried: MEM[i] has its timestamp
+  // and DATA signature and, for a write, the (spliced) value.
+  const ustor::InvocationTuple& op = a.op();
+  const ustor::ServerCore::MemEntry& me = core.mem(op.client);
+  ustor::SubmitMessage& m = captured_[op.client];
+  m.t = me.t;
+  m.inv = op;
+  m.value = op.oc == ustor::OpCode::kWrite ? ustor::to_owned(me.value) : std::nullopt;
+  m.data_sig = me.data_sig.to_bytes();
+  return a.encode();
 }
 
 }  // namespace faust::adversary

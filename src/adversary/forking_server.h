@@ -2,13 +2,14 @@
 //
 // A forking server is "the correct server, run several times": it keeps
 // one `ustor::ServerCore` per fork and serves each client from the core
-// its fork group owns.  Within a fork every USTOR check passes — that is
-// the whole point of the attack — but clients in different forks stop
-// seeing each other's operations, and the signed versions they commit
-// become ≼-incomparable.  USTOR alone never notices; FAUST's offline
-// version exchange does (Def. 5, detection completeness), which the
-// adversary cannot prevent because it does not control the client-to-
-// client channel.
+// its fork group owns (the core_of hook of ustor::Server, so duplicates
+// and parked SUBMITs are handled per fork too).  Within a fork every
+// USTOR check passes — that is the whole point of the attack — but
+// clients in different forks stop seeing each other's operations, and the
+// signed versions they commit become ≼-incomparable.  USTOR alone never
+// notices; FAUST's offline version exchange does (Def. 5, detection
+// completeness), which the adversary cannot prevent because it does not
+// control the client-to-client channel.
 //
 // Building blocks:
 //   * partition at start (classic SUNDR-style fork),
@@ -20,6 +21,7 @@
 //     linearizable history of Figure 3.
 #pragma once
 
+#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -30,7 +32,7 @@ namespace faust::adversary {
 
 /// A server that maintains several independent copies of the protocol
 /// state and assigns each client to one of them.
-class ForkingServer : public net::Node {
+class ForkingServer : public ustor::Server {
  public:
   /// All clients start in fork 0 (a single, correct-looking world).
   ForkingServer(int n, net::Transport& net, NodeId self = kServerNode);
@@ -58,24 +60,25 @@ class ForkingServer : public net::Node {
   /// uncommitted operation in the fork (Figure 3's enabling move).
   void leak_submit(int fork, const ustor::SubmitMessage& m);
 
-  /// Last SUBMIT message captured from `c` (nullptr if none yet).
+  /// Last SUBMIT captured from `c` (nullptr if none yet), as the full
+  /// SUBMIT it amounts to: a delta write carries the spliced value.
   const ustor::SubmitMessage* last_submit(ClientId c) const;
 
   int fork_of(ClientId c) const;
-  int num_forks() const { return static_cast<int>(cores_.size()); }
-  ustor::ServerCore& core(int fork) { return cores_[static_cast<std::size_t>(fork)]; }
-  const ustor::ServerCore& core(int fork) const {
-    return cores_[static_cast<std::size_t>(fork)];
-  }
+  int num_forks() const { return static_cast<int>(forks_.size()) + 1; }
+  using Server::core;  // fork 0
+  ustor::ServerCore& core(int fork);
+  const ustor::ServerCore& core(int fork) const;
 
-  void on_message(NodeId from, BytesView msg) override;
+ protected:
+  ustor::ServerCore& core_of(ClientId c) override { return core(fork_of(c)); }
+  /// Captures the op for last_submit(), then answers honestly.
+  std::optional<Bytes> reply(ustor::ServerCore& core,
+                             const ustor::ServerCore::Answer& a) override;
 
  private:
-  const int n_;
-  net::Transport& net_;
-  const NodeId self_;
-  std::vector<ustor::ServerCore> cores_;
-  std::vector<int> fork_of_;  // index: client-1
+  std::deque<ustor::ServerCore> forks_;  // forks 1.. (fork 0 is Server::core())
+  std::vector<int> fork_of_;             // index: client-1
   std::unordered_map<ClientId, ustor::SubmitMessage> captured_;
 };
 

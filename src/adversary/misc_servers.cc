@@ -3,68 +3,22 @@
 namespace faust::adversary {
 
 CommitDroppingServer::CommitDroppingServer(int n, net::Transport& net, NodeId self)
-    : core_(n), net_(net), self_(self) {
-  net_.attach(self_, *this);
-}
-
-void CommitDroppingServer::on_message(NodeId from, BytesView msg) {
-  const auto type = ustor::peek_type(msg);
-  if (!type.has_value()) return;
-  if (*type == ustor::MsgType::kSubmitDelta) {
-    const auto dm = ustor::decode_submit_delta_view(msg);
-    if (!dm.has_value()) return;
-    const auto m = ustor::expand_submit_delta(core_, *dm);
-    if (!m.has_value()) return;
-    const ustor::ReplySnapshot reply = core_.process_submit(*m);
-    net_.send(self_, from, ustor::encode(reply));
-    return;
-  }
-  if (*type != ustor::MsgType::kSubmit) return;  // drop COMMITs
-  auto m = ustor::decode_submit(msg);
-  if (!m.has_value()) return;
-  const ustor::ReplySnapshot reply = core_.process_submit(*m);
-  net_.send(self_, from, ustor::encode(reply));
+    : Server(n, net, self, Unattached{}) {
+  attach();
 }
 
 SilencingServer::SilencingServer(int n, net::Transport& net, std::uint64_t serve_ops, NodeId self)
-    : core_(n), net_(net), self_(self), serve_ops_(serve_ops) {
-  net_.attach(self_, *this);
+    : Server(n, net, self, Unattached{}), serve_ops_(serve_ops) {
+  attach();
 }
 
-void SilencingServer::on_message(NodeId from, BytesView msg) {
-  const auto type = ustor::peek_type(msg);
-  if (!type.has_value()) return;
-  switch (*type) {
-    case ustor::MsgType::kSubmit: {
-      if (silenced()) return;  // crash: no reply, ever
-      auto m = ustor::decode_submit(msg);
-      if (!m.has_value()) return;
-      ++served_;
-      const ustor::ReplySnapshot reply = core_.process_submit(*m);
-      net_.send(self_, from, ustor::encode(reply));
-      break;
-    }
-    case ustor::MsgType::kSubmitDelta: {
-      if (silenced()) return;
-      const auto dm = ustor::decode_submit_delta_view(msg);
-      if (!dm.has_value()) return;
-      const auto m = ustor::expand_submit_delta(core_, *dm);
-      if (!m.has_value()) return;
-      ++served_;
-      const ustor::ReplySnapshot reply = core_.process_submit(*m);
-      net_.send(self_, from, ustor::encode(reply));
-      break;
-    }
-    case ustor::MsgType::kCommit: {
-      if (silenced()) return;
-      auto m = ustor::decode_commit(msg);
-      if (!m.has_value()) return;
-      core_.process_commit(static_cast<ClientId>(from), *m);
-      break;
-    }
-    default:
-      break;
-  }
+std::optional<Bytes> SilencingServer::reply(ustor::ServerCore& core,
+                                            const ustor::ServerCore::Answer& a) {
+  // A SUBMIT parked before the silence and released after it gets no
+  // reply either: crash, no reply, ever.
+  if (silenced()) return std::nullopt;
+  ++served_;
+  return Server::reply(core, a);
 }
 
 }  // namespace faust::adversary

@@ -29,68 +29,35 @@ void corrupt_value(ustor::Value& v) {
 
 TamperServer::TamperServer(int n, net::Transport& net, Tamper mode, ClientId victim,
                            int fire_on_op, NodeId self)
-    : core_(n), net_(net), self_(self), mode_(mode), victim_(victim), fire_on_op_(fire_on_op) {
-  net_.attach(self_, *this);
+    : Server(n, net, self, Unattached{}), mode_(mode), victim_(victim), fire_on_op_(fire_on_op) {
+  attach();
 }
 
-void TamperServer::on_message(NodeId from, BytesView msg) {
-  const auto type = ustor::peek_type(msg);
-  if (!type.has_value()) return;
-
-  switch (*type) {
-    case ustor::MsgType::kSubmit: {
-      auto m = ustor::decode_submit(msg);
-      if (!m.has_value()) return;
-      handle_submit(from, *m);
-      break;
-    }
-    case ustor::MsgType::kSubmitDelta: {
-      // This adversary does not speak the delta reply protocol: it expands
-      // the delta into the equivalent full SUBMIT and serves (or corrupts)
-      // a full REPLY, which the D6 negotiation always accepts.
-      const auto dm = ustor::decode_submit_delta_view(msg);
-      if (!dm.has_value()) return;
-      const auto m = ustor::expand_submit_delta(core_, *dm);
-      if (!m.has_value()) return;
-      handle_submit(from, *m);
-      break;
-    }
-    case ustor::MsgType::kCommit: {
-      auto m = ustor::decode_commit(msg);
-      if (!m.has_value()) return;
-      core_.process_commit(static_cast<ClientId>(from), *m);
-      sver_history_[static_cast<ClientId>(from)].push_back(
-          core_.sver(static_cast<ClientId>(from)));
-      break;
-    }
-    default:
-      break;
+std::optional<Bytes> TamperServer::reply(ustor::ServerCore& core,
+                                         const ustor::ServerCore::Answer& a) {
+  const ustor::InvocationTuple& op = a.op();
+  mem_history_[op.client].push_back(core.mem(op.client));
+  sver_history_[op.client].push_back(core.sver(op.client));
+  if (op.client != victim_ || ++victim_ops_ != fire_on_op_ || mode_ == Tamper::kNone ||
+      fired_) {
+    return a.encode();
   }
-}
-
-void TamperServer::handle_submit(NodeId from, const ustor::SubmitMessage& m) {
+  fired_ = true;
+  if (mode_ == Tamper::kGarbage) {
+    // Not even a decodable message.
+    Bytes junk(64);
+    for (std::size_t i = 0; i < junk.size(); ++i) {
+      junk[i] = static_cast<std::uint8_t>(0xa5 ^ i);
+    }
+    return junk;
+  }
   // Materialized: the tamper modes below mutate the reply freely.
-  ustor::ReplyMessage reply = core_.process_submit(m).materialize();
-  const ClientId client = m.inv.client;
-  mem_history_[client].push_back(core_.mem(client));
-  if (client == victim_ && ++victim_ops_ == fire_on_op_ && mode_ != Tamper::kNone && !fired_) {
-    fired_ = true;
-    if (mode_ == Tamper::kGarbage) {
-      // Not even a decodable message.
-      Bytes junk(64);
-      for (std::size_t i = 0; i < junk.size(); ++i) {
-        junk[i] = static_cast<std::uint8_t>(0xa5 ^ i);
-      }
-      net_.send(self_, from, junk);
-      return;
-    }
-    reply = corrupt(std::move(reply), m);
-  }
-  net_.send(self_, from, ustor::encode(reply));
+  return ustor::encode(corrupt(a.reply.materialize(), op, core));
 }
 
 ustor::ReplyMessage TamperServer::corrupt(ustor::ReplyMessage reply,
-                                          const ustor::SubmitMessage& m) {
+                                          const ustor::InvocationTuple& op,
+                                          const ustor::ServerCore& core) {
   switch (mode_) {
     case Tamper::kNone:
     case Tamper::kGarbage:
@@ -105,7 +72,7 @@ ustor::ReplyMessage TamperServer::corrupt(ustor::ReplyMessage reply,
       // 49–50) all pass, and only the freshness checks of lines 51–52 can
       // catch the replay.
       if (!reply.read.has_value()) break;
-      const ClientId j = m.inv.target;
+      const ClientId j = op.target;
       const auto& mems = mem_history_[j];
       if (mems.size() < 2) break;  // nothing older to replay yet
       const ustor::ServerCore::MemEntry& stale = mems[mems.size() - 2];
@@ -116,7 +83,7 @@ ustor::ReplyMessage TamperServer::corrupt(ustor::ReplyMessage reply,
       // (the most convincing consistent lie available to the server).
       const auto& svers = sver_history_[j];
       ustor::SignedVersion old_sver;
-      old_sver.version = ustor::Version(core_.n());
+      old_sver.version = ustor::Version(core.n());
       for (const ustor::SignedVersion& sv : svers) {
         if (sv.version.v(j) <= stale.t) old_sver = sv;
       }
@@ -126,7 +93,7 @@ ustor::ReplyMessage TamperServer::corrupt(ustor::ReplyMessage reply,
     case Tamper::kVersionVector: {
       ustor::Version& v = reply.last.version;
       if (v.n() > 0) {
-        const ClientId k = (m.inv.client % v.n()) + 1;  // some index ≠ pattern-free
+        const ClientId k = (op.client % v.n()) + 1;  // some index ≠ pattern-free
         v.v(k) += 1;
       }
       break;
@@ -147,7 +114,7 @@ ustor::ReplyMessage TamperServer::corrupt(ustor::ReplyMessage reply,
       if (!reply.L.empty()) corrupt_bytes(reply.L.front().submit_sig);
       break;
     case Tamper::kEchoSelfInL:
-      reply.L.push_back(m.inv);
+      reply.L.push_back(op);
       break;
     case Tamper::kDuplicateInL:
       // A client can have at most one outstanding operation; a duplicate
@@ -156,7 +123,7 @@ ustor::ReplyMessage TamperServer::corrupt(ustor::ReplyMessage reply,
       if (!reply.L.empty()) reply.L.push_back(reply.L.front());
       break;
     case Tamper::kWrongCommitter:
-      reply.c = (reply.c % core_.n()) + 1;
+      reply.c = (reply.c % core.n()) + 1;
       break;
     case Tamper::kDropReadPayload:
       reply.read.reset();
@@ -164,7 +131,7 @@ ustor::ReplyMessage TamperServer::corrupt(ustor::ReplyMessage reply,
     case Tamper::kAddReadPayload:
       if (!reply.read.has_value()) {
         ustor::ReadPayload rp;
-        rp.writer.version = ustor::Version(core_.n());
+        rp.writer.version = ustor::Version(core.n());
         reply.read = std::move(rp);
       }
       break;

@@ -5,7 +5,9 @@
 // some signed invariant.  Algorithm 1's checks must catch every such
 // corruption immediately and attribute it to the right line — the
 // parameterized test suite and the attack-campaign bench (C5) sweep every
-// `Tamper` mode and assert the expected FailCause.
+// `Tamper` mode and assert the expected FailCause. It is ustor::Server
+// with the reply hook overridden: every other reply, delta replies to
+// advertised-base reads included, is the honest one.
 #pragma once
 
 #include <unordered_map>
@@ -37,38 +39,36 @@ enum class Tamper {
 };
 
 /// Correct server except for one targeted corruption.
-class TamperServer : public net::Node {
+class TamperServer : public ustor::Server {
  public:
   /// Corrupts the reply to `victim`'s `fire_on_op`-th operation (1-based
-  /// count of the victim's SUBMITs); all other traffic is served honestly.
+  /// count of the victim's processed SUBMITs); all other traffic is
+  /// served honestly. The corrupted reply is always a full REPLY, even to
+  /// an advertised-base read.
   TamperServer(int n, net::Transport& net, Tamper mode, ClientId victim, int fire_on_op = 2,
                NodeId self = kServerNode);
-
-  void on_message(NodeId from, BytesView msg) override;
-
-  ustor::ServerCore& core() { return core_; }
 
   /// True once the corruption has been sent.
   bool fired() const { return fired_; }
 
+ protected:
+  std::optional<Bytes> reply(ustor::ServerCore& core,
+                             const ustor::ServerCore::Answer& a) override;
+
  private:
-  /// Shared SUBMIT body for the full and (expanded) delta forms.
-  void handle_submit(NodeId from, const ustor::SubmitMessage& m);
+  ustor::ReplyMessage corrupt(ustor::ReplyMessage reply, const ustor::InvocationTuple& op,
+                              const ustor::ServerCore& core);
 
-  ustor::ReplyMessage corrupt(ustor::ReplyMessage reply, const ustor::SubmitMessage& m);
-
-  ustor::ServerCore core_;
-  net::Transport& net_;
-  const NodeId self_;
   const Tamper mode_;
   const ClientId victim_;
   const int fire_on_op_;
   int victim_ops_ = 0;
   bool fired_ = false;
 
-  // Full state history, kept so that the replay attack (kStaleTimestamp)
-  // can serve *old* data with *valid* old signatures — the strongest form
-  // of the attack, defeated only by the freshness checks of lines 51–52.
+  // State history per client, recorded at each of its ops, so that the
+  // replay attack (kStaleTimestamp) can serve *old* data with *valid* old
+  // signatures — the strongest form of the attack, defeated only by the
+  // freshness checks of lines 51–52.
   std::unordered_map<ClientId, std::vector<ustor::ServerCore::MemEntry>> mem_history_;
   std::unordered_map<ClientId, std::vector<ustor::SignedVersion>> sver_history_;
 };

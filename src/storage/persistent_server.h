@@ -5,13 +5,19 @@
 // Algorithm 2's state (MEM, SVER, L, P, c) is a deterministic function of
 // the sequence of SUBMIT/COMMIT messages processed, so logging that
 // sequence before processing (WAL rule) makes the server recoverable: a
-// restarted server replays the log through a fresh ServerCore and ends up
-// in byte-identical state — clients notice nothing (storage_test proves
-// it: versions keep extending across a crash+recover, no fail_i fires).
+// restarted server replays the log through the same message path and ends
+// up in byte-identical state — clients notice nothing (storage_test
+// proves it: versions keep extending across a crash+recover, no fail_i
+// fires).
 //
-// SUBMIT_DELTA goes through the same ServerCore::answer_submit_delta as
-// the in-memory server, live and in replay, so advertised-base reads are
-// answered with REPLY_DELTA here too (DESIGN.md D6).
+// PersistentServer is ustor::Server with two hooks filled in: the journal
+// appends each state-changing message to the WAL before the change (the
+// D10 front end decides which: duplicates are not logged, a parked SUBMIT
+// is logged when it is dispatched, a piggybacked COMMIT that advances
+// SVER[i] gets its own record), and the checkpoint takes snapshots at the
+// configured cadence. Recovery replays the records through the same
+// dispatch with sending off, so SUBMIT_DELTA is answered by the same
+// ServerCore::answer_submit_delta live and in replay (DESIGN.md D6, D7).
 //
 // Snapshots bound replay time: every `snapshot_every` WAL records the
 // full protocol state (ustor/state_codec) plus the per-client reply cache
@@ -23,14 +29,10 @@
 //
 // Exactly-once resume: a client that reconnects after a server restart
 // re-sends its latest COMMIT and its in-flight SUBMIT (ustor::Client::
-// resubmit). The submit timestamp doubles as a per-client sequence
-// number (MEM[i].t is the last timestamp client i submitted — reads and
-// writes both advance it), so a SUBMIT with t <= MEM[from].t is a
-// duplicate: the server resends the CACHED original reply instead of
-// reprocessing (reprocessing would append a second L entry and trip the
-// client's self-concurrency check). The cache is rebuilt during replay
-// and carried inside snapshots, so dedup survives arbitrarily many
-// crashes.
+// resubmit). The server's D10 duplicate check answers a SUBMIT it already
+// processed from the reply cache instead of reprocessing it. The cache is
+// rebuilt during replay and carried inside snapshots, so dedup survives
+// arbitrarily many crashes.
 //
 // Durability is a server-operator concern; it adds nothing to the trust
 // model (a Byzantine server could "recover" into any state it likes —
@@ -39,9 +41,7 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "net/transport.h"
 #include "storage/log_store.h"
 #include "storage/snapshot_store.h"
 #include "ustor/server.h"
@@ -57,7 +57,7 @@ struct DurabilityOptions {
 };
 
 /// Correct server with a write-ahead log and verified snapshots.
-class PersistentServer : public net::Node {
+class PersistentServer : public ustor::Server {
  public:
   /// Log-only mode: opens/creates the WAL at `log_path` and replays any
   /// existing records (crash recovery happens in the constructor).
@@ -69,13 +69,6 @@ class PersistentServer : public net::Node {
   /// snapshot falls back to full replay. `dir` must exist.
   PersistentServer(int n, net::Transport& net, const std::string& dir,
                    DurabilityOptions options, NodeId self = kServerNode);
-
-  ~PersistentServer() override;
-
-  void on_message(NodeId from, BytesView msg) override;
-
-  ustor::ServerCore& core() { return core_; }
-  const ustor::ServerCore& core() const { return core_; }
 
   /// Writes a snapshot now (no-op without a snapshot path). Returns
   /// false on I/O failure.
@@ -90,49 +83,29 @@ class PersistentServer : public net::Node {
   std::uint64_t snapshots_written() const { return snaps_ ? snaps_->saves() : 0; }
   /// Snapshot loads refused for integrity or framing reasons.
   std::uint64_t snapshots_rejected() const { return snaps_ ? snaps_->rejects() : 0; }
-  /// Duplicate SUBMITs answered from the reply cache (client resume).
-  std::uint64_t duplicate_replies() const { return duplicate_replies_; }
-  /// The reply cache: per client, the encoded bytes of its latest reply.
-  const std::vector<Bytes>& cached_replies() const { return last_reply_; }
-  /// SUBMITs parked behind a not-yet-processed predecessor COMMIT (D10:
-  /// a lossy/reordering transport delivered the SUBMIT first; processing
-  /// it then would be a false self-concurrency at a correct client).
-  std::uint64_t parked_submits() const { return parked_submits_; }
   /// WAL records refused at replay because their CRC did not match.
   std::uint64_t checksum_failures() const { return log_.checksum_failures(); }
   /// Total intact WAL records (replayed + appended) through this handle.
   std::uint64_t wal_records() const { return log_.records(); }
 
+ protected:
+  /// Appends one record, u32 sender ‖ raw message bytes, and flushes it.
+  bool journal(NodeId from, BytesView msg) override;
+  /// Snapshots once `snapshot_every` records accumulated since the last.
+  void checkpoint() override;
+
  private:
   void recover();
-
-  /// Applies one logged record (sender ‖ raw message) to the core,
-  /// caching the encoded reply; sends it only when `live`.
-  void apply(NodeId from, BytesView msg, bool live);
 
   /// Snapshot payload: state-codec image ‖ per-client cached replies.
   Bytes snapshot_payload() const;
   bool restore_from_payload(BytesView payload);
-  void maybe_snapshot();
 
-  /// Logs + applies every parked SUBMIT whose blocking L entry is gone;
-  /// called after each live COMMIT. Parked messages are NOT in the WAL
-  /// yet — they are logged here, at dispatch, so replay order equals
-  /// live processing order.
-  void release_parked();
-
-  ustor::ServerCore core_;
-  net::Transport& net_;
-  const NodeId self_;
   LogStore log_;
   std::unique_ptr<SnapshotStore> snaps_;
   DurabilityOptions options_;
-  std::vector<Bytes> last_reply_;  // per client, original encoded bytes
-  std::vector<Bytes> parked_;      // per client, one held-back SUBMIT (empty = none)
   std::size_t recovered_ = 0;
   bool recovered_from_snapshot_ = false;
-  std::uint64_t duplicate_replies_ = 0;
-  std::uint64_t parked_submits_ = 0;
   std::uint64_t last_snapshot_records_ = 0;
 };
 

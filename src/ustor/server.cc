@@ -1,6 +1,7 @@
 #include "ustor/server.h"
 
 #include <span>
+#include <type_traits>
 
 #include "common/check.h"
 #include "crypto/chunked_hasher.h"
@@ -107,9 +108,8 @@ ReplySnapshot ServerCore::process_submit(const SubmitMessage& m) {
 ReplySnapshot ServerCore::process_submit(const SubmitMessageView& m,
                                          const std::shared_ptr<const Bytes>& buffer) {
   SharedValue value;
-  if (m.value.has_value()) value = SharedBytes::slice(buffer, *m.value);
-  return submit_impl(m.t, to_owned(m.inv), std::move(value),
-                     SharedBytes::slice(buffer, m.data_sig));
+  if (m.value.has_value()) value = share(buffer, *m.value);
+  return submit_impl(m.t, to_owned(m.inv), std::move(value), share(buffer, m.data_sig));
 }
 
 std::size_t ServerCore::DeltaRecord::wire_size(const std::vector<Splice>& splices) {
@@ -169,24 +169,26 @@ std::optional<ReplySnapshot> ServerCore::process_submit_delta(
   return reply;
 }
 
-std::optional<Bytes> ServerCore::answer_submit_delta(const SubmitDeltaMessageView& m,
-                                                     const std::shared_ptr<const Bytes>& buffer) {
+std::optional<ServerCore::Answer> ServerCore::answer_submit_delta(
+    const SubmitDeltaMessageView& m, const std::shared_ptr<const Bytes>& buffer) {
   if (m.inv.oc == OpCode::kWrite) {
-    const auto reply = process_submit_delta(m, buffer);
+    auto reply = process_submit_delta(m, buffer);
     if (!reply.has_value()) return std::nullopt;
-    return encode(*reply);
+    return Answer{std::move(*reply)};
   }
-  // Advertised-base read: run the ordinary read, then shrink the reply to
-  // an "unchanged" token or a splice run if the reader's base allows it.
+  // Advertised-base read: run the ordinary read, then plan the shrink of
+  // its reply to an "unchanged" token or a splice run.
   const ClientId j = m.inv.target;
   if (!is_client(m.inv.client) || !is_client(j)) return std::nullopt;
-  const ReplySnapshot reply =
-      submit_impl(m.t, to_owned(m.inv), std::nullopt, share(buffer, m.data_sig));
-  ReadDeltaPlan plan;
-  if (plan_read_delta(j, m.base_digest, &plan) == ReadServing::kFull) {
-    return encode(reply);  // D6 fallback: full value
-  }
-  return encode_reply_delta(reply, plan);
+  Answer a{submit_impl(m.t, to_owned(m.inv), std::nullopt, share(buffer, m.data_sig))};
+  a.advertised = true;
+  a.serving = plan_read_delta(j, m.base_digest, &a.plan);
+  return a;
+}
+
+Bytes ServerCore::Answer::encode() const {
+  if (advertised && serving != ReadServing::kFull) return encode_reply_delta(reply, plan);
+  return ustor::encode(reply);  // D6 fallback: full value
 }
 
 ServerCore::ReadServing ServerCore::plan_read_delta(ClientId j, const crypto::Hash& base,
@@ -221,23 +223,6 @@ ServerCore::ReadServing ServerCore::plan_read_delta(ClientId j, const crypto::Ha
     plan->runs.push_back(std::span<const Splice>(me.history[q].splices));
   }
   return ReadServing::kDelta;
-}
-
-std::optional<SubmitMessage> expand_submit_delta(const ServerCore& core,
-                                                 const SubmitDeltaMessageView& m) {
-  SubmitMessage out;
-  out.t = m.t;
-  out.inv = to_owned(m.inv);
-  out.data_sig.assign(m.data_sig.begin(), m.data_sig.end());
-  if (m.inv.oc == OpCode::kRead) return out;  // advertised-base read: no value
-  if (!core.is_client(m.inv.client)) return std::nullopt;
-  const ServerCore::MemEntry& me = core.mem(m.inv.client);
-  if (!me.value.has_value()) return std::nullopt;
-  auto applied =
-      apply_delta(me.value->view(), std::span<const SpliceView>(m.splices), m.new_size);
-  if (!applied.has_value()) return std::nullopt;
-  out.value = std::move(*applied);
-  return out;
 }
 
 void ServerCore::restore(std::vector<MemEntry> mem, ClientId c,
@@ -302,67 +287,85 @@ bool ServerCore::client_in_L(ClientId i) const {
   return false;
 }
 
-Server::Server(int n, net::Transport& net, NodeId self)
+Server::Server(int n, net::Transport& net, NodeId self) : Server(n, net, self, Unattached{}) {
+  attach();
+}
+
+Server::Server(int n, net::Transport& net, NodeId self, Unattached)
     : core_(n),
       net_(net),
       self_(self),
       last_reply_(static_cast<std::size_t>(n)),
-      parked_(static_cast<std::size_t>(n)) {
-  net_.attach(self_, *this);
-}
+      parked_(static_cast<std::size_t>(n)) {}
+
+Server::~Server() { net_.detach(self_); }
 
 void Server::on_message(NodeId from, BytesView msg) {
   // No shared buffer to retain: fall back to copying the value into MEM.
-  process_client_msg(from, msg, nullptr);
+  process(from, msg, nullptr);
 }
 
-void Server::process_client_msg(NodeId from, BytesView bytes,
-                                const std::shared_ptr<const Bytes>& buffer) {
+void Server::on_shared_message(NodeId from, const std::shared_ptr<const Bytes>& msg) {
+  process(from, BytesView(*msg), msg);
+}
+
+void Server::replay(NodeId from, BytesView msg) {
+  live_ = false;
+  process(from, msg, nullptr);
+  live_ = true;
+}
+
+void Server::process(NodeId from, BytesView bytes, const std::shared_ptr<const Bytes>& buffer) {
+  // Range check first: ids index MEM/SVER/P, transports pass through the
+  // sender id a peer claims, and a journaled message from outside 1..n
+  // would abort every later recovery.
   const auto type = peek_type(bytes);
-  if (!type.has_value()) return;  // clients are correct; ignore noise
-  if (!core_.is_client(from)) return;
-  if (*type == MsgType::kCommit) {
-    auto m = decode_commit(bytes);
-    if (!m.has_value()) return;
-    core_.process_commit(static_cast<ClientId>(from), *m);
-    release_parked();
-    return;
-  }
-  if (*type != MsgType::kSubmit && *type != MsgType::kSubmitDelta) return;
-
-  // Peek (client, t) without processing: both view decoders are cheap and
-  // copy nothing. The D10 piggybacked COMMIT (when present) is lifted out
-  // here — it logically precedes the submit.
-  Timestamp t = 0;
-  std::optional<CommitMessage> piggyback;
-  if (*type == MsgType::kSubmit) {
-    const auto v = decode_submit_view(bytes);
-    if (!v.has_value() || v->inv.client != from || !core_.is_client(v->inv.target)) return;
-    t = v->t;
-    if (v->has_commit) {
-      piggyback = CommitMessage{v->commit_version, Bytes(v->commit_sig.begin(), v->commit_sig.end()),
-                                Bytes(v->proof_sig.begin(), v->proof_sig.end())};
-    }
-  } else {
-    const auto v = decode_submit_delta_view(bytes);
-    if (!v.has_value() || v->inv.client != from || !core_.is_client(v->inv.target)) return;
-    t = v->t;
-    if (v->has_commit) {
-      piggyback = CommitMessage{v->commit_version, Bytes(v->commit_sig.begin(), v->commit_sig.end()),
-                                Bytes(v->proof_sig.begin(), v->proof_sig.end())};
-    }
-  }
+  if (!type.has_value() || !core_.is_client(from) || drops(*type)) return;
   const ClientId i = static_cast<ClientId>(from);
+  switch (*type) {
+    case MsgType::kCommit: {
+      const auto m = decode_commit(bytes);
+      if (!m.has_value() || !journaled(from, bytes)) return;
+      core_of(i).process_commit(i, *m);
+      release_parked();
+      break;
+    }
+    case MsgType::kSubmit: {
+      const auto m = decode_submit_view(bytes);
+      if (!m.has_value() || !submit(i, *m, bytes, buffer)) return;
+      break;
+    }
+    case MsgType::kSubmitDelta: {
+      const auto m = decode_submit_delta_view(bytes);
+      if (!m.has_value() || !submit(i, *m, bytes, buffer)) return;
+      break;
+    }
+    default:
+      return;  // clients are correct; ignore noise
+  }
+  if (live_) checkpoint();
+}
 
-  // Process the piggybacked COMMIT BEFORE the dedup and parking checks:
-  // it can prune L (draining this client's parking slot, so the submit
-  // below dispatches instead of deadlocking in the slot) and it advances
-  // SVER[i] even when the submit itself turns out to be a duplicate —
-  // which is exactly the Algorithm 1 line-52 invariant the piggyback
-  // exists to uphold. The monotone gate in process_commit makes stale
-  // re-deliveries no-ops.
-  if (piggyback.has_value()) {
-    core_.process_commit(i, *piggyback);
+template <class View>
+bool Server::submit(ClientId i, const View& m, BytesView bytes,
+                    const std::shared_ptr<const Bytes>& buffer) {
+  if (m.inv.client != i || !core_.is_client(m.inv.target)) return false;
+  ServerCore& core = core_of(i);
+
+  // The D10 piggybacked COMMIT logically precedes the submit. Applied
+  // BEFORE the dedup and parking checks, it can prune L (draining this
+  // client's parking slot, so the submit dispatches instead of waiting in
+  // the slot) and it advances SVER[i] even when the submit turns out to be
+  // a duplicate — the Algorithm 1 line-52 invariant the piggyback exists
+  // to uphold. Only one that advances SVER[i] changes state, and it is
+  // journaled as its own record: the submit may park unjournaled, and the
+  // commit's L prune must still reach the log in processing order.
+  if (m.has_commit && !drops(MsgType::kCommit) && m.commit_version.n() == core.n() &&
+      !version_leq(m.commit_version, core.sver(i).version)) {
+    const CommitMessage commit{m.commit_version, Bytes(m.commit_sig.begin(), m.commit_sig.end()),
+                               Bytes(m.proof_sig.begin(), m.proof_sig.end())};
+    if (!journaled(i, encode(commit))) return false;
+    core.process_commit(i, commit);
     release_parked();
   }
 
@@ -370,74 +373,65 @@ void Server::process_client_msg(NodeId from, BytesView bytes,
   // SUBMIT for an op this server already processed. Reprocessing would
   // append a second L entry → false kSelfConcurrent at the (correct)
   // client, so the cached original reply is resent instead.
-  if (t <= core_.mem(i).t) {
+  if (m.t <= core.mem(i).t) {
     ++duplicate_replies_;
     const Bytes& cached = last_reply_[static_cast<std::size_t>(i - 1)];
-    if (!cached.empty()) net_.send(self_, from, Bytes(cached));
-    return;
+    if (live_ && !cached.empty()) net_.send(self_, i, Bytes(cached));
+    return false;
   }
 
   // D10 reorder tolerance: this SUBMIT overtook the client's previous
   // COMMIT (L still lists an op of the client); processing it now would
-  // put the client's OWN op into its concurrency set. Park it until that
-  // COMMIT lands — or, if the COMMIT was lost, until the client's
-  // retransmission (which resends COMMIT before SUBMIT) drains the slot.
-  if (core_.client_in_L(i)) {
+  // put the client's OWN op into its concurrency set. Park it, unjournaled,
+  // until that COMMIT lands — or, if the COMMIT was lost, until the
+  // client's retransmission (COMMIT before SUBMIT) drains the slot.
+  if (!drops(MsgType::kCommit) && core.client_in_L(i)) {
     Parked p;
     p.buffer = buffer;
     if (!buffer) p.raw.assign(bytes.begin(), bytes.end());
     parked_[static_cast<std::size_t>(i - 1)] = std::move(p);
     ++parked_submits_;
-    return;
+    return false;
   }
-
-  dispatch_submit(from, bytes, buffer);
+  return dispatch(i, m, bytes, buffer);
 }
 
-void Server::dispatch_submit(NodeId from, BytesView bytes,
-                             const std::shared_ptr<const Bytes>& buffer) {
-  if (peek_type(bytes) == MsgType::kSubmitDelta) {
-    const auto m = decode_submit_delta_view(bytes);
-    if (!m.has_value()) return;
+template <class View>
+bool Server::dispatch(ClientId i, const View& m, BytesView bytes,
+                      const std::shared_ptr<const Bytes>& buffer) {
+  // Write-ahead: journaled before the state changes or any reply leaves.
+  if (!journaled(i, bytes)) return false;
+  ServerCore& core = core_of(i);
+  std::optional<ServerCore::Answer> answer;
+  if constexpr (std::is_same_v<View, SubmitDeltaMessageView>) {
     // A baseless/out-of-bounds delta is dropped: correct clients never
     // send one, and a Byzantine client only hurts itself.
-    auto reply = core_.answer_submit_delta(*m, buffer);
-    if (reply.has_value()) send_reply(static_cast<ClientId>(from), std::move(*reply));
-    return;
+    answer = core.answer_submit_delta(m, buffer);
+  } else {
+    answer = ServerCore::Answer{core.process_submit(m, buffer)};
   }
-  if (buffer) {
-    // Zero-copy SUBMIT: decode views and let MEM retain slices of the
-    // delivered buffer — the register value crosses the server uncopied.
-    const auto m = decode_submit_view(bytes);
-    if (!m.has_value()) return;
-    const ReplySnapshot reply = core_.process_submit(*m, buffer);
-    send_reply(static_cast<ClientId>(from), encode(reply));
-    return;
-  }
-  const auto m = decode_submit(bytes);
-  if (!m.has_value()) return;
-  const ReplySnapshot reply = core_.process_submit(*m);
-  send_reply(static_cast<ClientId>(from), encode(reply));
+  if (!answer.has_value()) return true;
+  std::optional<Bytes> out = reply(core, *answer);
+  if (!out.has_value()) return true;
+  Bytes& cached = last_reply_[static_cast<std::size_t>(i - 1)];
+  cached = std::move(*out);
+  if (live_) net_.send(self_, i, Bytes(cached));
+  return true;
 }
 
 void Server::release_parked() {
   for (ClientId i = 1; i <= core_.n(); ++i) {
     auto& slot = parked_[static_cast<std::size_t>(i - 1)];
-    if (!slot.has_value() || core_.client_in_L(i)) continue;
-    Parked p = std::move(*slot);
+    if (!slot.has_value() || core_of(i).client_in_L(i)) continue;
+    const Parked p = std::move(*slot);
     slot.reset();
     const BytesView bytes = p.buffer ? BytesView(*p.buffer) : BytesView(p.raw);
-    dispatch_submit(static_cast<NodeId>(i), bytes, p.buffer);
+    if (peek_type(bytes) == MsgType::kSubmitDelta) {
+      if (const auto m = decode_submit_delta_view(bytes)) dispatch(i, *m, bytes, p.buffer);
+    } else if (const auto m = decode_submit_view(bytes)) {
+      dispatch(i, *m, bytes, p.buffer);
+    }
   }
-}
-
-void Server::send_reply(ClientId to, Bytes encoded) {
-  last_reply_[static_cast<std::size_t>(to - 1)] = encoded;
-  net_.send(self_, static_cast<NodeId>(to), std::move(encoded));
-}
-
-void Server::on_shared_message(NodeId from, const std::shared_ptr<const Bytes>& msg) {
-  process_client_msg(from, BytesView(*msg), msg);
 }
 
 }  // namespace faust::ustor

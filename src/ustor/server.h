@@ -1,12 +1,15 @@
 // USTOR server — Algorithm 2 of the paper.
 //
 // The protocol state and the SUBMIT/COMMIT handlers live in `ServerCore`,
-// a plain struct with no I/O: the correct `Server` below owns one core and
-// forwards messages; the Byzantine servers in src/adversary own one or
-// more cores (a fork per client group) and distort what flows between
-// core and network.  The core also keeps a schedule log — the sequence in
-// which SUBMITs were processed — which *is* the linearization order when
-// the server is correct, and which tests/checkers consume as the oracle.
+// a plain struct with no I/O. `Server` is the one message path every
+// server class runs: it decodes client messages, applies the D10 front
+// end (range checks, piggybacked COMMIT, duplicate suppression, parking)
+// and answers through a core. Durability (storage::PersistentServer) and
+// misbehaviour (the Byzantine servers in src/adversary) are protected
+// hooks on it, not loops of their own. The core also keeps a schedule
+// log — the sequence in which SUBMITs were processed — which *is* the
+// linearization order when the server is correct, and which
+// tests/checkers consume as the oracle.
 //
 // Replies are copy-on-write snapshots (ReplySnapshot): process_submit no
 // longer deep-copies L and P into every reply; it hands out shared
@@ -18,6 +21,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -56,11 +60,12 @@ class ServerCore {
   /// The caller encodes it directly, or materialize()s a mutable copy.
   ReplySnapshot process_submit(const SubmitMessage& m);
 
-  /// Zero-copy variant (the correct server's hot path): `m` views into
-  /// `buffer`, and MEM retains the value and DATA signature as shared
-  /// slices of it — a submitted register value is never copied out of the
-  /// delivered message (PERF.md "O(change) operations"). Behaviour and
-  /// reply bytes are identical to the owned overload.
+  /// Zero-copy variant (the server's hot path): `m` views into `buffer`,
+  /// and MEM retains the value and DATA signature as shared slices of it
+  /// — a submitted register value is never copied out of the delivered
+  /// message (PERF.md "O(change) operations"). A null `buffer` copies
+  /// them instead. Behaviour and reply bytes are identical to the owned
+  /// overload.
   ReplySnapshot process_submit(const SubmitMessageView& m,
                                const std::shared_ptr<const Bytes>& buffer);
 
@@ -73,24 +78,43 @@ class ServerCore {
   std::optional<ReplySnapshot> process_submit_delta(const SubmitDeltaMessageView& m,
                                                     const std::shared_ptr<const Bytes>& buffer);
 
-  /// SUBMIT_DELTA, both forms, as every correct server answers it (D6):
-  /// ustor::Server live, storage::PersistentServer live and in WAL replay.
-  /// The write form runs process_submit_delta; an advertised-base read
-  /// runs the ordinary read, then shrinks the reply to an "unchanged"
-  /// token or splice runs when the reader's base allows it. Returns the
-  /// encoded REPLY or REPLY_DELTA — a deterministic function of the state
-  /// and `m`, so a replayed message re-encodes the live run's bytes.
-  /// nullopt drops the message: a baseless or out-of-bounds delta, or a
-  /// client/target outside 1..n. `buffer` may be null (owned-copy path).
-  std::optional<Bytes> answer_submit_delta(const SubmitDeltaMessageView& m,
-                                           const std::shared_ptr<const Bytes>& buffer);
-
   /// How an advertised-base read can be served.
   enum class ReadServing {
     kFull,       // base unknown / history too old / delta not smaller
     kUnchanged,  // stored root equals the advertised base
     kDelta,      // plan->runs carries the base forward to the current value
   };
+
+  /// A processed SUBMIT or SUBMIT_DELTA before it leaves as bytes: the
+  /// full reply plus, for an advertised-base read, how far the reader's
+  /// base lets the D6 wire shrink it. Server's reply hook sees this.
+  struct Answer {
+    explicit Answer(ReplySnapshot r) : reply(std::move(r)) {}
+
+    ReplySnapshot reply;
+    bool advertised = false;  // SUBMIT_DELTA read form; plan.base_digest is its base
+    ReadServing serving = ReadServing::kFull;
+    ReadDeltaPlan plan;  // borrows mem(target).history until its next mutation
+
+    /// The submitted operation: the L entry appended right after the
+    /// reply's prefix.
+    const InvocationTuple& op() const { return (*reply.L)[reply.l_count]; }
+
+    /// The honest bytes: REPLY_DELTA when the plan serves the read,
+    /// otherwise the full REPLY (always acceptable under D6). A
+    /// deterministic function of the state and the message, so a replayed
+    /// message re-encodes the live run's bytes.
+    Bytes encode() const;
+  };
+
+  /// SUBMIT_DELTA, both forms (D6). The write form runs
+  /// process_submit_delta; an advertised-base read runs the ordinary read
+  /// and plans the shrink of its reply to an "unchanged" token or splice
+  /// runs. nullopt drops the message: a baseless or out-of-bounds delta,
+  /// or a client/target outside 1..n. `buffer` may be null (owned-copy
+  /// path).
+  std::optional<Answer> answer_submit_delta(const SubmitDeltaMessageView& m,
+                                            const std::shared_ptr<const Bytes>& buffer);
 
   /// Decides how to answer a read of register `j` whose client advertised
   /// `base` as its last verified chunk-tree root. On kDelta the plan's
@@ -214,17 +238,9 @@ class ServerCore {
   std::uint64_t cow_clones_ = 0;
 };
 
-/// Expands a SUBMIT_DELTA into the equivalent full SUBMIT against `core`'s
-/// current state: write form applies the splices to the stored value, read
-/// form carries no value. Used by the adversaries in src/adversary, which
-/// do not speak the delta protocol themselves — replying with a full REPLY
-/// to a delta-speaking client is always acceptable under the D6
-/// negotiation. Correct servers use ServerCore::answer_submit_delta.
-/// nullopt on a baseless or out-of-bounds delta.
-std::optional<SubmitMessage> expand_submit_delta(const ServerCore& core,
-                                                 const SubmitDeltaMessageView& m);
-
-/// The correct server: decodes messages, runs the core, replies.
+/// The server: decodes client messages, runs the D10 front end, answers
+/// through a core. Every server class is this one message path; the
+/// variations hang off the protected hooks below.
 ///
 /// D10 chaos tolerance. The paper's channels are reliable FIFO; under a
 /// FaultPlan they are not, and three purely-timing anomalies would
@@ -238,18 +254,20 @@ std::optional<SubmitMessage> expand_submit_delta(const ServerCore& core,
 ///     op of the client) is parked — one slot per client suffices, a
 ///     client runs one op at a time — and dispatched once that COMMIT
 ///     lands. A lost COMMIT drains the slot too: the client's
-///     retransmission resends COMMIT before SUBMIT.
+///     retransmission resends COMMIT before SUBMIT, and a piggybacked
+///     COMMIT is applied before the SUBMIT that carries it.
 ///   - stale/duplicated COMMITs are handled inside ServerCore (monotone
 ///     SVER/P fold).
 /// None of this changes behaviour on a clean FIFO transport.
 class Server : public net::Node {
  public:
   Server(int n, net::Transport& net, NodeId self = kServerNode);
+  ~Server() override;
 
   void on_message(NodeId from, BytesView msg) override;
 
-  /// Shared delivery (net::Network uses this): SUBMITs take the zero-copy
-  /// path, retaining the value as a slice of `msg` instead of copying it.
+  /// Shared delivery (net::Network, sock::SocketTransport): SUBMITs take
+  /// the zero-copy path, retaining the value as a slice of `msg`.
   void on_shared_message(NodeId from, const std::shared_ptr<const Bytes>& msg) override;
 
   ServerCore& core() { return core_; }
@@ -259,6 +277,48 @@ class Server : public net::Node {
   std::uint64_t duplicate_replies() const { return duplicate_replies_; }
   /// SUBMITs parked behind a not-yet-processed predecessor COMMIT.
   std::uint64_t parked_submits() const { return parked_submits_; }
+  /// The reply cache: per client, the bytes of its latest reply.
+  const std::vector<Bytes>& cached_replies() const { return last_reply_; }
+
+ protected:
+  /// Constructs without attaching to the transport: a derived class
+  /// attach()es once it is fully built (a durable server recovers first).
+  struct Unattached {};
+  Server(int n, net::Transport& net, NodeId self, Unattached);
+  void attach() { net_.attach(self_, *this); }
+
+  /// Runs a message through the same path with the journal, checkpoints
+  /// and sending off (WAL recovery). The reply cache still fills, so a
+  /// duplicate after a restart gets the live run's original bytes.
+  void replay(NodeId from, BytesView msg);
+
+  std::vector<Bytes>& reply_cache() { return last_reply_; }
+
+  // --- Hooks ------------------------------------------------------------
+
+  /// Write-ahead journal: called with each message that is about to
+  /// change state — a COMMIT, a piggybacked COMMIT that advances SVER[i]
+  /// (re-encoded on its own), a SUBMIT when it is dispatched (parked ones
+  /// at release) — before the change and before any reply leaves. False
+  /// refuses the message. Duplicates and parked SUBMITs are not journaled.
+  virtual bool journal(NodeId /*from*/, BytesView /*msg*/) { return true; }
+
+  /// Called after each live message that changed state (snapshot cadence).
+  virtual void checkpoint() {}
+
+  /// The core that serves client `c` (a forking server keeps several).
+  virtual ServerCore& core_of(ClientId /*c*/) { return core_; }
+
+  /// True drops every message of `type` before it is processed; a
+  /// piggybacked COMMIT counts as kCommit. A server that drops COMMITs
+  /// never parks a SUBMIT: the COMMIT it would wait for never lands.
+  virtual bool drops(MsgType /*type*/) const { return false; }
+
+  /// The bytes that answer a processed SUBMIT; nullopt sends nothing.
+  /// They are cached for duplicates of that SUBMIT.
+  virtual std::optional<Bytes> reply(ServerCore& /*core*/, const ServerCore::Answer& a) {
+    return a.encode();
+  }
 
  private:
   /// A SUBMIT held back until the client's previous COMMIT arrives. The
@@ -269,28 +329,35 @@ class Server : public net::Node {
     std::shared_ptr<const Bytes> buffer;
   };
 
-  /// Both delivery paths funnel here; `buffer` is null on the owned
-  /// (on_message) path.
-  void process_client_msg(NodeId from, BytesView bytes,
-                          const std::shared_ptr<const Bytes>& buffer);
+  /// Both delivery paths and replay funnel here; `buffer` is null on the
+  /// owned path.
+  void process(NodeId from, BytesView bytes, const std::shared_ptr<const Bytes>& buffer);
 
-  /// Runs a (de-duplicated, un-parked) SUBMIT/SUBMIT_DELTA through the
-  /// core and replies.
-  void dispatch_submit(NodeId from, BytesView bytes,
-                       const std::shared_ptr<const Bytes>& buffer);
+  /// The D10 front end of one SUBMIT or SUBMIT_DELTA; true iff it was
+  /// dispatched (not dropped, answered from the cache or parked).
+  template <class View>
+  bool submit(ClientId i, const View& m, BytesView bytes,
+              const std::shared_ptr<const Bytes>& buffer);
+
+  /// Journals, runs the core, replies and caches. False iff the journal
+  /// refused the message.
+  template <class View>
+  bool dispatch(ClientId i, const View& m, BytesView bytes,
+                const std::shared_ptr<const Bytes>& buffer);
 
   /// Dispatches every parked SUBMIT whose blocking L entry is gone (a
   /// COMMIT's prune can clear OTHER clients' entries too, so all slots
-  /// are scanned after every process_commit).
+  /// are scanned after every COMMIT).
   void release_parked();
 
-  /// Caches the encoded reply for duplicate suppression, then sends it.
-  void send_reply(ClientId to, Bytes encoded);
+  /// The journal hook, skipped during replay.
+  bool journaled(NodeId from, BytesView msg) { return !live_ || journal(from, msg); }
 
   ServerCore core_;
   net::Transport& net_;
   const NodeId self_;
-  std::vector<Bytes> last_reply_;         // per client, most recent reply bytes
+  bool live_ = true;  // false while replay() runs
+  std::vector<Bytes> last_reply_;              // per client, most recent reply bytes
   std::vector<std::optional<Parked>> parked_;  // one slot per client
   std::uint64_t duplicate_replies_ = 0;
   std::uint64_t parked_submits_ = 0;

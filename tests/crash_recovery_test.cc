@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "crypto/chunked_hasher.h"
+#include "crypto/sha256.h"
 #include "crypto/signature.h"
 #include "faust/cluster.h"
 #include "net/network.h"
@@ -22,8 +23,10 @@
 #include "shard/sharded_kv_client.h"
 #include "sim/scheduler.h"
 #include "storage/persistent_server.h"
+#include "storage/snapshot_store.h"
 #include "ustor/client.h"
 #include "ustor/state_codec.h"
+#include "wire/encoder.h"
 
 namespace faust {
 namespace {
@@ -103,6 +106,28 @@ ustor::Value read_sync(sim::Scheduler& sched, ustor::Client& c, ClientId j) {
 
 bool is_reply_delta(const Bytes& reply) {
   return ustor::peek_type(reply) == ustor::MsgType::kReplyDelta;
+}
+
+/// SHA-256 of `data` in hex, for pinning durable bytes.
+std::string hex_sha256(BytesView data) {
+  std::string out;
+  char buf[3];
+  for (const std::uint8_t b : crypto::Sha256::digest(data)) {
+    std::snprintf(buf, sizeof buf, "%02x", b);
+    out += buf;
+  }
+  return out;
+}
+
+Bytes read_file(const std::string& path) {
+  Bytes out;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return out;
+  std::uint8_t buf[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) out.insert(out.end(), buf, buf + got);
+  std::fclose(f);
+  return out;
 }
 
 // --- Exactly-once resume at the protocol layer ----------------------------
@@ -231,6 +256,13 @@ TEST(CrashRecovery, SnapshotRecoveryMatchesFullReplay) {
     replies_via_snapshot = server.cached_replies();
     net.kill(kServerNode);
   }
+  Bytes snapshot_payload;
+  {
+    storage::SnapshotStore store(dir.path + "/snapshot.bin");
+    auto img = store.load();
+    ASSERT_TRUE(img.has_value());
+    snapshot_payload = img->payload;
+  }
   ASSERT_TRUE(std::filesystem::remove(dir.path + "/snapshot.bin"));
   Bytes via_replay;
   std::vector<Bytes> replies_via_replay;
@@ -249,6 +281,17 @@ TEST(CrashRecovery, SnapshotRecoveryMatchesFullReplay) {
       << "snapshot + suffix and full replay must cache identical reply bytes";
   EXPECT_FALSE(c1->failed());
   EXPECT_FALSE(c2->failed());
+
+  // The durable format is pinned (durable_format_test.cc has the full set
+  // of record kinds): every later server build must write these bytes.
+  wire::Writer replies;
+  for (const Bytes& r : replies_via_replay) replies.put_bytes(r);
+  EXPECT_EQ(hex_sha256(read_file(dir.path + "/wal.log")),
+            "84769e7e74b69c94ddb532ea1005699fd49c0568602c6c6f6bbd6be6f93ad27d");
+  EXPECT_EQ(hex_sha256(snapshot_payload),
+            "dcba22bd9ba1f991df43efa3f2ea4dbb1afc56de5d712f78e1139a6ccddbaff8");
+  EXPECT_EQ(hex_sha256(replies.buffer()),
+            "fd57e3d30114d662d0bb0af2fdf2f13d58e2423f77ddf91db241b1fce670e03e");
 }
 
 /// Forwards to a Network and records each client's latest SUBMIT and
