@@ -1,13 +1,16 @@
 // O(change) KV operations (PERF.md "O(change) operations"): put/get cost
-// against keyspace size K, with the delta machinery (incremental
-// partition encoding + chunked DATA digests + version-keyed decode
-// memos) toggled against the legacy full-reencode/full-decode paths.
+// against keyspace size K, on a kChunked deployment (chunked DATA
+// digests + the delta wire; second arg 0) and on a kFlat one (the
+// paper-literal flat hash over the full-value wire; second arg 1). Both
+// run the incremental partition encoding and the version-keyed decode
+// memos. The legacy full-reencode/full-decode numbers these rows were
+// first compared against are kept in bench/results/BENCH_kv_delta.pre.json.
 //
 // The claims under test:
-//   * put throughput at K=16384 stays within ~2x of K=256 on the delta
-//     paths (legacy degrades ~linearly with K);
+//   * put throughput at K=16384 stays within ~2x of K=256 on kChunked
+//     (a flat digest re-hashes the whole partition per put);
 //   * single-op get throughput at K=3072/n=3 gains >= 5x from the decode
-//     memo alone (reads of unchanged registers skip decode AND merge).
+//     memo (reads of unchanged registers skip decode AND merge).
 //
 // K counts TOTAL keys; with n=3 writers each partition holds ~K/3
 // entries. Engine-level measurement (kv::KvClient over one Cluster, the
@@ -42,18 +45,17 @@ std::string value_of(int v) {
 }
 
 struct DeltaRig {
-  DeltaRig(int total_keys, bool legacy) {
+  DeltaRig(int total_keys, bool flat) {
     ClusterConfig cfg;
     cfg.n = kWriters;
     cfg.seed = 4242;
     cfg.delay = net::DelayModel{1, 1};
     cfg.faust.dummy_read_period = 0;
     cfg.faust.probe_check_period = 0;
-    cfg.faust.data_digest = legacy ? ustor::DigestMode::kFlat : ustor::DigestMode::kChunked;
+    cfg.faust.data_digest = flat ? ustor::DigestMode::kFlat : ustor::DigestMode::kChunked;
     cluster = std::make_unique<Cluster>(cfg);
-    const kv::KvTuning tuning{/*incremental_encode=*/!legacy, /*decode_memo=*/!legacy};
     for (ClientId i = 1; i <= kWriters; ++i) {
-      kv.push_back(std::make_unique<kv::KvClient>(cluster->client(i), tuning));
+      kv.push_back(std::make_unique<kv::KvClient>(cluster->client(i)));
     }
     // Bulk-load K keys round-robin over the writers: one publication per
     // writer (apply_with_seqs), so setup stays cheap even at K=16384.
@@ -102,7 +104,7 @@ struct DeltaRig {
 
 void set_mode_counters(benchmark::State& state, const DeltaRig& rig, double ops) {
   state.counters["keys"] = static_cast<double>(state.range(0));
-  state.counters["legacy"] = static_cast<double>(state.range(1));
+  state.counters["flat"] = static_cast<double>(state.range(1));
   state.counters["ops_per_sec"] = benchmark::Counter(ops, benchmark::Counter::kIsRate);
   std::uint64_t splices = 0, rebuilds = 0, memo_hits = 0, merged_hits = 0;
   for (const auto& c : rig.kv) {
@@ -120,8 +122,8 @@ void set_mode_counters(benchmark::State& state, const DeltaRig& rig, double ops)
 /// Overwrite-heavy puts into pre-populated partitions of ~K/3 entries.
 void BM_KvDeltaPut(benchmark::State& state) {
   const int total_keys = static_cast<int>(state.range(0));
-  const bool legacy = state.range(1) != 0;
-  DeltaRig rig(total_keys, legacy);
+  const bool flat = state.range(1) != 0;
+  DeltaRig rig(total_keys, flat);
   int k = 0, v = 1'000'000;
   for (auto _ : state) {
     rig.put(k % total_keys, ++v);
@@ -142,8 +144,8 @@ BENCHMARK(BM_KvDeltaPut)
 /// registers — the decode-memo steady state.
 void BM_KvDeltaGet(benchmark::State& state) {
   const int total_keys = static_cast<int>(state.range(0));
-  const bool legacy = state.range(1) != 0;
-  DeltaRig rig(total_keys, legacy);
+  const bool flat = state.range(1) != 0;
+  DeltaRig rig(total_keys, flat);
   benchmark::DoNotOptimize(rig.get(1, 0));  // warm the memos
   int k = 0;
   for (auto _ : state) {
@@ -165,8 +167,8 @@ BENCHMARK(BM_KvDeltaGet)
 /// only the one changed partition after each write.
 void BM_KvDeltaMixed(benchmark::State& state) {
   const int total_keys = static_cast<int>(state.range(0));
-  const bool legacy = state.range(1) != 0;
-  DeltaRig rig(total_keys, legacy);
+  const bool flat = state.range(1) != 0;
+  DeltaRig rig(total_keys, flat);
   int k = 0, v = 2'000'000;
   for (auto _ : state) {
     if (k % 8 == 0) {

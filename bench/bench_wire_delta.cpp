@@ -1,14 +1,16 @@
 // O(change) on the wire (PERF.md "Bytes per op"): SUBMIT/REPLY bytes per
-// operation against keyspace size K, with the D6 delta wire protocol
-// (SUBMIT_DELTA / REPLY_DELTA + advertised read bases) toggled against
-// the full-value wire path. The engine-side delta machinery (incremental
-// encode, chunked digests, decode memos) is ON in both modes — only the
-// transport representation differs, so the bytes/op counters isolate the
-// wire claim.
+// operation against keyspace size K, on a kChunked deployment, which
+// speaks the D6 delta wire protocol (SUBMIT_DELTA / REPLY_DELTA +
+// advertised read bases; second arg 1), and on a kFlat one, which speaks
+// the full-value wire (second arg 0). The engine-side machinery
+// (incremental encode, decode memos) runs in both, so the bytes/op
+// counters isolate the wire claim. The kFlat rows also hash flat instead
+// of chunked; bench/results/BENCH_wire_delta.post.json keeps the rows
+// recorded with chunked digests on the full-value wire.
 //
 // The claims under test:
 //   * SUBMIT bytes for a single-key put at K=16384 stay within 4x of
-//     K=256 with deltas on (full-value SUBMITs scale with the partition);
+//     K=256 on the delta wire (full-value SUBMITs scale with the partition);
 //   * an all-unchanged snapshot read ships O(1) bytes per partition
 //     (REPLY_DELTA "unchanged" tokens, a few hundred bytes vs the full
 //     value — the residue is the version vector + L/P lists, not data).
@@ -48,19 +50,17 @@ std::string value_of(int v) {
 }
 
 struct WireRig {
-  WireRig(int total_keys, bool deltas) {
+  WireRig(int total_keys, bool chunked) {
     ClusterConfig cfg;
     cfg.n = kWriters;
     cfg.seed = 4242;
     cfg.delay = net::DelayModel{1, 1};
     cfg.faust.dummy_read_period = 0;
     cfg.faust.probe_check_period = 0;
-    cfg.faust.data_digest = ustor::DigestMode::kChunked;
-    cfg.faust.wire_deltas = deltas;
+    cfg.faust.data_digest = chunked ? ustor::DigestMode::kChunked : ustor::DigestMode::kFlat;
     cluster = std::make_unique<Cluster>(cfg);
-    const kv::KvTuning tuning{/*incremental_encode=*/true, /*decode_memo=*/true};
     for (ClientId i = 1; i <= kWriters; ++i) {
-      kv.push_back(std::make_unique<kv::KvClient>(cluster->client(i), tuning));
+      kv.push_back(std::make_unique<kv::KvClient>(cluster->client(i)));
     }
     // Bulk-load K keys round-robin over the writers: one publication per
     // writer (apply_with_seqs), so setup stays cheap even at K=16384.
@@ -136,7 +136,7 @@ void set_wire_counters(benchmark::State& state, const WireRig& rig,
                        std::uint64_t submit_before, std::uint64_t reply_before) {
   const double ops = static_cast<double>(state.iterations());
   state.counters["keys"] = static_cast<double>(state.range(0));
-  state.counters["wire_deltas"] = static_cast<double>(state.range(1));
+  state.counters["chunked"] = static_cast<double>(state.range(1));
   state.counters["ops_per_sec"] = benchmark::Counter(ops, benchmark::Counter::kIsRate);
   state.counters["submit_bytes_per_op"] =
       static_cast<double>(rig.submit_bytes() - submit_before) / (ops > 0 ? ops : 1);
@@ -158,11 +158,11 @@ void set_wire_counters(benchmark::State& state, const WireRig& rig,
 
 /// Overwrite-heavy single-key puts into pre-populated partitions of
 /// ~K/3 entries: submit_bytes_per_op is the headline number (the 4x
-/// K-independence bound is asserted on the deltas-on rows).
+/// K-independence bound is asserted on the kChunked rows).
 void BM_WirePut(benchmark::State& state) {
   const int total_keys = static_cast<int>(state.range(0));
-  const bool deltas = state.range(1) != 0;
-  WireRig rig(total_keys, deltas);
+  const bool chunked = state.range(1) != 0;
+  WireRig rig(total_keys, chunked);
   const std::uint64_t sb = rig.submit_bytes(), rb = rig.reply_bytes();
   int k = 0, v = 1'000'000;
   for (auto _ : state) {
@@ -181,12 +181,12 @@ BENCHMARK(BM_WirePut)
     ->MinTime(0.1);
 
 /// Single-key gets over registers that keep changing under the reader:
-/// with deltas on, the REPLY carries splice runs against the reader's
+/// on the delta wire, the REPLY carries splice runs against the reader's
 /// last verified base instead of the whole partition.
 void BM_WireGet(benchmark::State& state) {
   const int total_keys = static_cast<int>(state.range(0));
-  const bool deltas = state.range(1) != 0;
-  WireRig rig(total_keys, deltas);
+  const bool chunked = state.range(1) != 0;
+  WireRig rig(total_keys, chunked);
   benchmark::DoNotOptimize(rig.get(1, 0));  // warm memos + verified bases
   const std::uint64_t sb = rig.submit_bytes(), rb = rig.reply_bytes();
   int k = 0, v = 3'000'000;
@@ -209,8 +209,8 @@ BENCHMARK(BM_WireGet)
 /// Mixed workload: mostly reads, occasional writes.
 void BM_WireMixed(benchmark::State& state) {
   const int total_keys = static_cast<int>(state.range(0));
-  const bool deltas = state.range(1) != 0;
-  WireRig rig(total_keys, deltas);
+  const bool chunked = state.range(1) != 0;
+  WireRig rig(total_keys, chunked);
   benchmark::DoNotOptimize(rig.get(1, 0));
   const std::uint64_t sb = rig.submit_bytes(), rb = rig.reply_bytes();
   int k = 0, v = 2'000'000;
@@ -239,8 +239,8 @@ BENCHMARK(BM_WireMixed)
 /// reply_bytes_per_op (one op = one get = n register reads).
 void BM_WireUnchangedStorm(benchmark::State& state) {
   const int total_keys = static_cast<int>(state.range(0));
-  const bool deltas = state.range(1) != 0;
-  WireRig rig(total_keys, deltas);
+  const bool chunked = state.range(1) != 0;
+  WireRig rig(total_keys, chunked);
   // Warm every writer's register in the reader's memo (one get per
   // partition suffices: a get reads all n registers).
   benchmark::DoNotOptimize(rig.get(1, 0));

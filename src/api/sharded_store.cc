@@ -1,16 +1,16 @@
-// api::Store over a sharded deployment: wraps shard::ShardedKvClient
-// (the legacy sharded engine, which already owns routing, cross-shard
-// sequence coordination and fail-settling) and translates its hooks into
-// facade events. Works in both execution modes; under kThreaded the
-// engine posts every op body onto the home shard's runtime.
-#include <atomic>
+// api::Store's one backend: wraps shard::ShardedKvClient (which owns
+// routing, cross-shard sequence coordination and fail-settling) and
+// translates its hooks into facade events. Both open_store() factories
+// build it: a sharded deployment binds its S shard Clusters and router,
+// a single deployment is the same backend at S = 1. Works in both
+// execution modes; on threaded shards the engine posts every op body
+// onto the home shard's runtime.
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "api/store.h"
-#include "shard/sharded_cluster.h"
+#include "faust/cluster.h"
 #include "shard/sharded_kv_client.h"
 
 namespace faust::api {
@@ -18,13 +18,15 @@ namespace {
 
 class ShardedStore final : public Store {
  public:
-  ShardedStore(shard::ShardedCluster& deployment, ClientId id)
-      : deployment_(deployment), id_(id), kv_(deployment, id) {
-    if (deployment_.threaded()) {
-      core_->mode = detail::StoreCore::Mode::kBlock;
-    } else {
+  /// Binds the engine; takes shard::ShardedKvClient's constructor
+  /// arguments.
+  template <typename... Args>
+  explicit ShardedStore(Args&&... args) : kv_(std::forward<Args>(args)...) {
+    if (kv_.shard(0).simulated()) {
       core_->mode = detail::StoreCore::Mode::kStep;
-      core_->sched = &deployment_.sched();
+      core_->sched = &kv_.shard(0).sched();
+    } else {
+      core_->mode = detail::StoreCore::Mode::kBlock;
     }
     kv_.on_fail = [this](std::size_t s, FailureReason reason) {
       Event e;
@@ -37,11 +39,11 @@ class ShardedStore final : public Store {
     // handler the harness installed. The swap mutates FaustClient state,
     // so it runs on the shard's own thread; a shard whose runtime is
     // already stopped is skipped (and not "restored" at destruction).
-    chained_stable_.resize(deployment_.shards());
-    hooked_.assign(deployment_.shards(), false);
-    for (std::size_t s = 0; s < deployment_.shards(); ++s) {
-      hooked_[s] = run_on_shard_sync(s, [this, s] {
-        FaustClient& f = deployment_.shard(s).client(id_);
+    chained_stable_.resize(kv_.shards());
+    hooked_.assign(kv_.shards(), false);
+    for (std::size_t s = 0; s < kv_.shards(); ++s) {
+      hooked_[s] = kv_.shard(s).run_sync([this, s] {
+        FaustClient& f = kv_.shard(s).client(kv_.id());
         chained_stable_[s] = f.on_stable;
         auto prev = f.on_stable;
         f.on_stable = [this, s, prev = std::move(prev)](const FaustClient::StabilityCut& w) {
@@ -49,7 +51,7 @@ class ShardedStore final : public Store {
           Event e;
           e.kind = Event::Kind::kStabilityAdvanced;
           e.shard = s;
-          e.stable_ts = deployment_.shard(s).client(id_).fully_stable_timestamp();
+          e.stable_ts = kv_.shard_stable_ts(s);
           emit(e);
         };
       });
@@ -63,29 +65,24 @@ class ShardedStore final : public Store {
   /// be stop()ped (or quiescent) first.
   ~ShardedStore() override {
     begin_close();  // chains settle inline once ~kv_ aborts their steps
-    for (std::size_t s = 0; s < chained_stable_.size(); ++s) {
-      if (hooked_[s]) {
-        // Same rule as installation: the swap mutates FaustClient state a
-        // live runtime thread reads (stability cuts keep advancing on
-        // timers), so it must run on the shard's own thread.
-        run_on_shard_sync(s, [this, s] {
-          deployment_.shard(s).client(id_).on_stable = std::move(chained_stable_[s]);
-        });
-      }
+    for (std::size_t s = 0; s < kv_.shards(); ++s) {
+      if (!hooked_[s]) continue;
+      // Same rule as installation: the swap mutates FaustClient state a
+      // live runtime thread reads (stability cuts keep advancing on
+      // timers), so it runs on the shard's own thread — inline once that
+      // runtime is stopped.
+      const auto restore = [this, s] {
+        kv_.shard(s).client(kv_.id()).on_stable = std::move(chained_stable_[s]);
+      };
+      if (!kv_.shard(s).run_sync(restore)) restore();
     }
   }
 
-  ClientId id() const override { return id_; }
-  std::size_t shards() const override { return deployment_.shards(); }
-  std::size_t home_shard(std::string_view key) const override {
-    return deployment_.router().shard_of(key);
-  }
-  Timestamp stable_ts(std::size_t s) const override {
-    return deployment_.shard(s).client(id_).fully_stable_timestamp();
-  }
-  bool failed(std::size_t s) const override {
-    return deployment_.shard(s).client(id_).failed();
-  }
+  ClientId id() const override { return kv_.id(); }
+  std::size_t shards() const override { return kv_.shards(); }
+  std::size_t home_shard(std::string_view key) const override { return kv_.home_shard(key); }
+  Timestamp stable_ts(std::size_t s) const override { return kv_.shard_stable_ts(s); }
+  bool failed(std::size_t s) const override { return kv_.shard(s).client(kv_.id()).failed(); }
 
  protected:
   std::uint64_t engine_next_seq() override { return kv_.draw_seq(); }
@@ -104,22 +101,17 @@ class ShardedStore final : public Store {
   }
 
  private:
-  bool run_on_shard_sync(std::size_t s, const std::function<void()>& body) {
-    if (!deployment_.threaded()) {
-      body();
-      return true;
-    }
-    return exec::post_sync(deployment_.shard_exec(s), body);
-  }
-
-  shard::ShardedCluster& deployment_;
-  const ClientId id_;
   shard::ShardedKvClient kv_;
   std::vector<FaustClient::StableHandler> chained_stable_;  // restored at dtor...
   std::vector<bool> hooked_;  // ...per shard, only if its hook swap ran
 };
 
 }  // namespace
+
+std::unique_ptr<Store> open_store(Cluster& cluster, ClientId id) {
+  return std::make_unique<ShardedStore>(std::vector<Cluster*>{&cluster}, shard::ShardRouter(1),
+                                        id);
+}
 
 std::unique_ptr<Store> open_store(shard::ShardedCluster& deployment, ClientId id) {
   return std::make_unique<ShardedStore>(deployment, id);

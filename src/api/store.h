@@ -27,11 +27,11 @@
 //     on_stable hooks: shard failures and stability-cut advances arrive
 //     through a single handler regardless of deployment shape.
 //
-// Backends are built by the open_store() factories: over one Cluster
-// (wrapping kv::KvClient) or over a shard::ShardedCluster (wrapping
-// shard::ShardedKvClient, both execution modes). The legacy classes stay
-// as the internal engines — and as the independently-testable oracles the
-// differential tests replay against.
+// Both open_store() factories build the one backend, which wraps
+// shard::ShardedKvClient (one kv::KvClient per shard): over a
+// shard::ShardedCluster (either execution mode), or over one Cluster as
+// S = 1. The legacy classes stay as the internal engines — and as the
+// independently-testable oracles the differential tests replay against.
 //
 // Threading contract: one logical client = one issuing thread (the
 // paper's well-formed executions). Callbacks and events fire on the
@@ -503,14 +503,11 @@ class Store {
   virtual void engine_snapshot(std::size_t shard, SnapshotDone done) = 0;
 
   /// D10 graceful degradation: a cache-only snapshot of shard `s`, taken
-  /// while its breaker is open — the shard itself is NOT contacted.
-  /// Backends with a cache tier override this to serve expired-but-held
-  /// entries (flagged via origin.cached/as_of); the default reports the
-  /// shard unreachable (null map → Status::kUnavailable).
-  virtual void engine_degraded_snapshot(std::size_t shard, SnapshotDone done) {
-    (void)shard;
-    done(nullptr, 0, kv::ReadOrigin{});
-  }
+  /// while its breaker is open — the shard itself is NOT contacted. It
+  /// serves expired-but-held cache entries (flagged via
+  /// origin.cached/as_of), or reports the shard unreachable (null map →
+  /// Status::kUnavailable) when the cache tier cannot answer or is off.
+  virtual void engine_degraded_snapshot(std::size_t shard, SnapshotDone done) = 0;
 
   /// Implementations forward fail_i / stable_i through this.
   void emit(const Event& e) {

@@ -66,6 +66,14 @@ net::Transport& Cluster::transport() {
   return *net_;
 }
 
+bool Cluster::run_sync(const std::function<void()>& body) {
+  if (simulated()) {
+    body();
+    return true;
+  }
+  return exec::post_sync(*exec_, body);
+}
+
 sim::Scheduler& Cluster::sched() {
   FAUST_CHECK(sim_ != nullptr);  // stepping makes no sense on a threaded runtime
   return *sim_;

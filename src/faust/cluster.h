@@ -9,6 +9,7 @@
 // server), which keeps scenario scripts readable.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -97,6 +98,12 @@ class Cluster {
   /// and callers drive completion by stepping it); false under a threaded
   /// runtime, where work must be post()ed onto exec() and waited for.
   bool simulated() const { return sim_ != nullptr; }
+
+  /// Runs `body` in this deployment's execution context and returns once
+  /// it ran: inline when simulated, post_sync()ed onto a threaded
+  /// runtime (never call it from that runtime's own thread). False when
+  /// a stopped runtime refused it — the body never ran.
+  bool run_sync(const std::function<void()>& body);
 
   /// The owned simulated fabric. Illegal (FAUST_CHECK) when the cluster
   /// rides an external transport — use transport() there.

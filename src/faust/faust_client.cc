@@ -38,7 +38,7 @@ FaustClient::FaustClient(ClientId id, int n,
       exec_(exec),
       config_(config),
       ustor_(id, n, std::move(sigs), net, kServerNode, config.verify_cache_entries,
-             config.data_digest, config.wire_deltas),
+             config.data_digest),
       VER_(static_cast<std::size_t>(n)),
       W_(static_cast<std::size_t>(n), 0),
       // Jitter stream is per-client so a fleet retransmitting after the
@@ -133,7 +133,7 @@ void FaustClient::write_delta(const crypto::Hash& base_digest, const crypto::Has
                               std::uint64_t new_size, std::vector<ustor::Splice> splices,
                               WriteHandler done) {
   if (failed_) return;
-  FAUST_CHECK(deltas_active());
+  FAUST_CHECK(config_.data_digest == ustor::DigestMode::kChunked);
   PendingUserOp op;
   op.is_write = true;
   op.is_delta_write = true;

@@ -57,15 +57,12 @@ struct FaustConfig {
   /// every client must use the same mode (the verifier recomputes the
   /// signer's digest). kChunked makes re-digesting an edited register
   /// value O(change) instead of O(value) on both the signing and the
-  /// verifying side (PERF.md "O(change) operations"); kFlat is the
-  /// paper-literal H and the legacy-comparison knob.
+  /// verifying side (PERF.md "O(change) operations"), and it is the mode
+  /// that speaks the D6 delta wire (SUBMIT_DELTA / REPLY_DELTA: bytes per
+  /// op track the change set, verified against the chunk trees). kFlat is
+  /// the paper-literal H over the full-value wire; the differential
+  /// oracles replay one op stream under both.
   ustor::DigestMode data_digest = ustor::DigestMode::kChunked;
-  /// D6: ship splice deltas on the wire (SUBMIT_DELTA / REPLY_DELTA) so
-  /// bytes per op track the change set, not the register size. Effective
-  /// only under kChunked (deltas verify against the chunk trees); any base
-  /// mismatch degrades to the full-value path, so this is safe to leave on
-  /// — the differential oracle pins on/off equivalence.
-  bool wire_deltas = true;
   /// D10 chaos tolerance: while an operation is in flight, resend its
   /// COMMIT+SUBMIT (ustor::Client::resubmit — exactly-once via the
   /// server's duplicate detection) after this long, then back off
@@ -170,16 +167,10 @@ class FaustClient {
   /// D6 delta write: publishes only the splices carrying the previous
   /// published value (whose chunk-tree root is `base_digest`) forward to
   /// the new one (root `new_root`, total `new_size` bytes). Requires
-  /// deltas_active(); callers fall back to write_shared otherwise.
+  /// kChunked digests; callers fall back to write_shared otherwise.
   void write_delta(const crypto::Hash& base_digest, const crypto::Hash& new_root,
                    std::uint64_t new_size, std::vector<ustor::Splice> splices,
                    WriteHandler done = {});
-
-  /// True when this client speaks the delta wire protocol (config knob on
-  /// and chunked digests in use).
-  bool deltas_active() const {
-    return config_.wire_deltas && config_.data_digest == ustor::DigestMode::kChunked;
-  }
 
   /// Reads register X_j; `done(value, t)` as above.
   void read(ClientId j, ReadHandler done = {});

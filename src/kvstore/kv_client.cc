@@ -107,10 +107,8 @@ std::optional<std::map<std::string, std::pair<std::string, std::uint64_t>>> deco
   return m;
 }
 
-KvClient::KvClient(FaustClient& faust, KvTuning tuning)
-    : faust_(faust),
-      tuning_(tuning),
-      part_memo_(static_cast<std::size_t>(faust.n())) {}
+KvClient::KvClient(FaustClient& faust)
+    : faust_(faust), part_memo_(static_cast<std::size_t>(faust.n())) {}
 
 bool KvClient::owns_key(std::string_view key) const {
   const auto it = std::lower_bound(
@@ -223,7 +221,6 @@ void KvClient::splice_erase(std::size_t idx, std::size_t old_size) {
 
 bool KvClient::apply_change(const std::string& key, std::optional<std::string> value,
                             std::uint64_t seq) {
-  const bool incremental = tuning_.incremental_encode && enc_valid_;
   auto it = lower_bound_key(own_, key);
   const bool found = it != own_.end() && it->key == key;
   const std::size_t idx = static_cast<std::size_t>(it - own_.begin());
@@ -231,29 +228,17 @@ bool KvClient::apply_change(const std::string& key, std::optional<std::string> v
     if (found) {
       it->value = std::move(*value);
       it->seq = seq;
-      if (incremental) {
-        splice_replace(idx);
-      } else {
-        enc_valid_ = false;
-      }
+      if (enc_valid_) splice_replace(idx);
     } else {
       own_.insert(it, PartitionEntry{key, std::move(*value), seq});
-      if (incremental) {
-        splice_insert(idx);
-      } else {
-        enc_valid_ = false;
-      }
+      if (enc_valid_) splice_insert(idx);
     }
     return true;
   }
   if (!found) return false;
   const std::size_t old_size = entry_size(*it);
   own_.erase(it);
-  if (incremental) {
-    splice_erase(idx, old_size);
-  } else {
-    enc_valid_ = false;
-  }
+  if (enc_valid_) splice_erase(idx, old_size);
   return true;
 }
 
@@ -330,8 +315,7 @@ void KvClient::publish(PutHandler done) {
   // actually smaller. The first publication is always full (it seeds the
   // server's base and the verifiers' chunk trees); after that, per-op
   // bytes track the change set.
-  if (faust_.deltas_active() && digest.has_value() && published_ > 0 && splice_log_valid_ &&
-      !pending_splices_.empty()) {
+  if (digest.has_value() && published_ > 0 && splice_log_valid_ && !pending_splices_.empty()) {
     std::size_t delta_bytes = 0;
     for (const ustor::Splice& s : pending_splices_) delta_bytes += 20 + s.insert.size();
     if (delta_bytes < enc_->size()) {
@@ -353,14 +337,10 @@ void KvClient::publish(PutHandler done) {
   ++publish_fulls_;
   ++published_;
   pending_splices_.clear();
-  if (digest.has_value()) {
-    last_pub_root_ = *digest;
-    // From this full publication on, incremental splices can be logged
-    // against a server-known base.
-    splice_log_valid_ = faust_.deltas_active();
-  } else {
-    splice_log_valid_ = false;
-  }
+  // From a chunked full publication on, incremental splices can be
+  // logged against a server-known base.
+  splice_log_valid_ = digest.has_value();
+  if (digest.has_value()) last_pub_root_ = *digest;
   // The buffer itself is shared with the write (zero-copy down to the
   // wire encoding); the next splice clones it iff it is still in flight.
   faust_.write_shared(enc_, digest, [done = std::move(done)](Timestamp t) {
@@ -388,11 +368,9 @@ void KvClient::snapshot(
     // "unchanged" token and arming the bogus-negative rejection.
     snap->tried_cache = true;
     std::vector<cache::CacheClient::Base> bases(n);
-    if (tuning_.decode_memo) {
-      for (std::size_t slot = 0; slot < n; ++slot) {
-        const PartMemo& memo = part_memo_[slot];
-        if (memo.part) bases[slot] = cache::CacheClient::Base{true, memo.fp.digest};
-      }
+    for (std::size_t slot = 0; slot < n; ++slot) {
+      const PartMemo& memo = part_memo_[slot];
+      if (memo.part) bases[slot] = cache::CacheClient::Base{true, memo.fp.digest};
     }
     cache_->lookup(std::move(bases), [this, snap](const cache::CacheClient::Result& res) {
       consume_cache_result(snap, res.sections);
@@ -428,11 +406,9 @@ void KvClient::fold_cache_sections(const std::shared_ptr<Snapshot>& snap,
             decoded.has_value() ? std::move(*decoded) : Partition{});
         snap->fps[slot] = fp;
         snap->parts[slot] = part;
-        if (tuning_.decode_memo) {
-          PartMemo& memo = part_memo_[slot];
-          memo.fp = fp;
-          memo.part = std::move(part);
-        }
+        PartMemo& memo = part_memo_[slot];
+        memo.fp = fp;
+        memo.part = std::move(part);
         snap->resolved[slot] = true;
         ++regs_cache_served_;
         fold_as_of(sec.as_of);
@@ -484,11 +460,9 @@ void KvClient::snapshot_degraded(DegradedHandler done) {
   ++snapshots_total_;
   ++degraded_snapshots_;
   std::vector<cache::CacheClient::Base> bases(n);
-  if (tuning_.decode_memo) {
-    for (std::size_t slot = 0; slot < n; ++slot) {
-      const PartMemo& memo = part_memo_[slot];
-      if (memo.part) bases[slot] = cache::CacheClient::Base{true, memo.fp.digest};
-    }
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    const PartMemo& memo = part_memo_[slot];
+    if (memo.part) bases[slot] = cache::CacheClient::Base{true, memo.fp.digest};
   }
   cache_->lookup(
       std::move(bases),
@@ -550,7 +524,7 @@ void KvClient::read_partition(ClientId j, std::shared_ptr<Snapshot> snap) {
       const PartFp fp{true, meta.value_digest};
       snap->fps[slot] = fp;
       PartMemo& memo = part_memo_[slot];
-      if (tuning_.decode_memo && memo.part && memo.fp == fp) {
+      if (memo.part && memo.fp == fp) {
         // The verified triple matches a previous decode of byte-identical
         // content (digest collision resistance): replay it. A tampered
         // value never gets here — it already failed the DATA-signature
@@ -566,10 +540,8 @@ void KvClient::read_partition(ClientId j, std::shared_ptr<Snapshot> snap) {
         auto part = std::make_shared<const Partition>(decoded.has_value() ? std::move(*decoded)
                                                                           : Partition{});
         snap->parts[slot] = part;
-        if (tuning_.decode_memo) {
-          memo.fp = fp;
-          memo.part = std::move(part);
-        }
+        memo.fp = fp;
+        memo.part = std::move(part);
       }
     }
     read_partition(j + 1, snap);
@@ -593,7 +565,7 @@ void KvClient::finish_snapshot(const std::shared_ptr<Snapshot>& snap) {
   // freshness horizon instead (see GetExHandler).
   const Timestamp ts = snap->max_read_ts > 0 ? snap->max_read_ts : origin.as_of;
   if (snap->tried_cache && snap->max_read_ts == 0) ++snapshots_cached_;
-  if (tuning_.decode_memo && merged_cache_ && snap->fps == merged_fps_) {
+  if (merged_cache_ && snap->fps == merged_fps_) {
     // Every register returned the same verified content the cached merge
     // was built from: serve it without merging (the read-heavy steady
     // state of a get).
@@ -615,10 +587,8 @@ void KvClient::finish_snapshot(const std::shared_ptr<Snapshot>& snap) {
       }
     }
   }
-  if (tuning_.decode_memo) {
-    merged_cache_ = merged;
-    merged_fps_ = snap->fps;
-  }
+  merged_cache_ = merged;
+  merged_fps_ = snap->fps;
   snap->done(*merged, ts, origin);
 }
 

@@ -20,9 +20,9 @@
 // digests, re-hashes only the touched chunks; a get whose registers
 // return unchanged verified (writer, timestamp, digest) triples skips
 // decoding — and when EVERY register is unchanged, the whole merge — via
-// version-keyed memos. KvTuning::{incremental_encode, decode_memo} force
-// the legacy full-reencode/full-decode paths for differential comparison;
-// published bytes and merged views are identical in both modes.
+// version-keyed memos. The differential tests pin published bytes against
+// encode_partition() of an in-memory model and merged views against
+// kFlat deployments and models.
 #pragma once
 
 #include <algorithm>
@@ -96,21 +96,6 @@ Bytes encode_map(const std::map<std::string, std::pair<std::string, std::uint64_
 std::optional<std::map<std::string, std::pair<std::string, std::uint64_t>>> decode_map(
     BytesView data);
 
-/// Performance knobs (NOT semantics: both settings of each produce
-/// byte-identical publications and identical merged views — the
-/// differential tests replay both). Defaults are the fast paths; the
-/// legacy settings exist as the comparison baseline and escape hatch.
-struct KvTuning {
-  /// Patch the kept canonical encoding in place on each change (false:
-  /// re-encode the whole partition on every publish, the pre-O(change)
-  /// behaviour).
-  bool incremental_encode = true;
-  /// Cache decoded partitions per writer keyed by the VERIFIED (writer,
-  /// timestamp, digest) triple, plus the merged view keyed by all n
-  /// triples (false: re-decode and re-merge every snapshot).
-  bool decode_memo = true;
-};
-
 /// Key-value facade over one FaustClient.
 class KvClient {
  public:
@@ -133,7 +118,7 @@ class KvClient {
   /// Borrows `faust`; the caller keeps it alive. Multiple KvClients must
   /// not share one FaustClient. The DATA digest mode is read off the
   /// FaustClient's config (it is deployment-wide).
-  explicit KvClient(FaustClient& faust, KvTuning tuning = {});
+  explicit KvClient(FaustClient& faust);
 
   /// Upserts key := value in this client's partition and publishes the
   /// whole partition to its register. `done` receives the register
@@ -370,7 +355,6 @@ class KvClient {
   void finish_snapshot(const std::shared_ptr<Snapshot>& snap);
 
   FaustClient& faust_;
-  const KvTuning tuning_;
 
   Partition own_;  // ascending by key
   std::uint64_t put_seq_ = 0;

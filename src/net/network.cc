@@ -5,7 +5,7 @@
 namespace faust::net {
 
 Network::Network(exec::Executor& exec, Rng rng, DelayModel delay)
-    : exec_(exec), rng_(std::move(rng)), delay_(delay) {}
+    : Transport(/*locked_counters=*/false), exec_(exec), rng_(std::move(rng)), delay_(delay) {}
 
 void Network::attach(NodeId id, Node& node) {
   // Re-attaching after a kill is a revival: bump the epoch again so that
@@ -20,18 +20,7 @@ void Network::detach(NodeId id) { nodes_.erase(id); }
 void Network::send(NodeId from, NodeId to, Bytes msg) {
   if (crashed(from) || crashed(to)) return;
 
-  ChannelState& ch = channels_[{from, to}];
-  ch.stats.messages += 1;
-  ch.stats.bytes += msg.size();
-  total_.messages += 1;
-  total_.bytes += msg.size();
-
-  const std::size_t bucket =
-      msg.empty() ? 0 : (msg[0] < kTypeBuckets ? msg[0] : std::size_t{0});
-  ch.by_type[bucket].messages += 1;
-  ch.by_type[bucket].bytes += msg.size();
-  total_by_type_[bucket].messages += 1;
-  total_by_type_[bucket].bytes += msg.size();
+  count(from, to, msg);
 
   // D10 chaos: counters above record what the protocol PUT on the channel
   // (comparable with the chaos-free run); losses happen after.
@@ -50,14 +39,15 @@ void Network::send(NodeId from, NodeId to, Bytes msg) {
   // delivery times are fine — the scheduler runs same-tick events in
   // schedule (i.e. send) order.
   const sim::Time earliest = exec_.now() + delay_.sample(rng_) + extra;
-  sim::Time when = std::max(earliest, ch.last_scheduled);
+  sim::Time& last_scheduled = last_scheduled_[{from, to}];
+  sim::Time when = std::max(earliest, last_scheduled);
   if (plan_.reorder > 0 && chaos_rng_->chance(plan_.reorder)) {
     // Chaos reorder: this message ignores the FIFO clamp (it may overtake
     // in-flight channel traffic) and does not advance it for later sends.
     if (earliest < when) ++chaos_.reordered;
     when = earliest;
   } else {
-    ch.last_scheduled = when;
+    last_scheduled = when;
   }
 
   // The buffer is moved into shared ownership once and delivered as such:
@@ -98,17 +88,6 @@ void Network::crash(NodeId id) { crashed_[id] = 1; }
 void Network::kill(NodeId id) {
   ++epoch_[id];
   killed_.insert(id);
-}
-
-ChannelStats Network::channel(NodeId from, NodeId to) const {
-  auto it = channels_.find({from, to});
-  return it == channels_.end() ? ChannelStats{} : it->second.stats;
-}
-
-ChannelStats Network::channel_for(NodeId from, NodeId to, std::uint8_t tag) const {
-  auto it = channels_.find({from, to});
-  if (it == channels_.end()) return ChannelStats{};
-  return it->second.by_type[tag < kTypeBuckets ? tag : 0];
 }
 
 }  // namespace faust::net

@@ -15,7 +15,6 @@
 // chaos differential tests pin.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -76,21 +75,9 @@ struct ChaosStats {
   std::uint64_t partition_dropped = 0;  // losses on partitioned channels
 };
 
-/// Per-direction traffic counters (used by the overhead/throughput benches).
-struct ChannelStats {
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-
-  /// Accumulation across channels or deployments (the sharded harness sums
-  /// every shard's fabric into one aggregate).
-  ChannelStats& operator+=(const ChannelStats& other) {
-    messages += other.messages;
-    bytes += other.bytes;
-    return *this;
-  }
-};
-
 /// The simulated network fabric (the Transport used by tests/benches).
+/// Its wire counters (WireCounters) count every message at send time,
+/// before any chaos loss.
 ///
 /// Nodes are attached non-owning; the caller keeps them alive for the
 /// lifetime of the Network (standard arrangement in the tests: all parties
@@ -155,35 +142,7 @@ class Network : public Transport {
   /// Counters for everything the chaos layer did.
   const ChaosStats& chaos() const { return chaos_; }
 
-  /// Aggregate counters over all channels.
-  const ChannelStats& total() const { return total_; }
-
-  /// Counters for the (from,to) directed channel.
-  ChannelStats channel(NodeId from, NodeId to) const;
-
-  /// Messages are bucketed by their leading wire tag (ustor::MsgType
-  /// values; bench JSON reports bytes/op per message type). Tags >=
-  /// kTypeBuckets and empty messages land in bucket 0 (never produced by
-  /// this codebase's encoders).
-  static constexpr std::size_t kTypeBuckets = 16;
-  using TypeStats = std::array<ChannelStats, kTypeBuckets>;
-
-  /// Aggregate per-type counters over all channels.
-  const TypeStats& total_by_type() const { return total_by_type_; }
-  const ChannelStats& total_for(std::uint8_t tag) const {
-    return total_by_type_[tag < kTypeBuckets ? tag : 0];
-  }
-
-  /// Per-type counters for the (from,to) directed channel.
-  ChannelStats channel_for(NodeId from, NodeId to, std::uint8_t tag) const;
-
  private:
-  struct ChannelState {
-    sim::Time last_scheduled = 0;  // FIFO: next delivery not before this
-    ChannelStats stats;
-    TypeStats by_type;
-  };
-
   std::uint64_t epoch_of(NodeId id) const {
     auto it = epoch_.find(id);
     return it == epoch_.end() ? 0 : it->second;
@@ -197,12 +156,12 @@ class Network : public Transport {
   std::set<std::pair<NodeId, NodeId>> partitions_;  // directed cut channels
   ChaosStats chaos_;
   std::unordered_map<NodeId, Node*> nodes_;
-  std::map<std::pair<NodeId, NodeId>, ChannelState> channels_;
+  /// FIFO per (from,to) channel: its next delivery is not scheduled
+  /// before this.
+  std::map<std::pair<NodeId, NodeId>, sim::Time> last_scheduled_;
   std::unordered_map<NodeId, char> crashed_;
   std::unordered_map<NodeId, std::uint64_t> epoch_;  // bumped by kill + revival
   std::unordered_set<NodeId> killed_;                // currently-down transients
-  ChannelStats total_;
-  TypeStats total_by_type_{};
 };
 
 }  // namespace faust::net

@@ -1,19 +1,24 @@
 // Transport abstraction (DESIGN.md, decision D2).
 //
 // Protocol code (USTOR, FAUST, the baselines) is written against this
-// interface only: attach a receiver, send bytes.  Two implementations
+// interface only: attach a receiver, send bytes.  Three implementations
 // ship with the repository:
 //   * net::Network — the deterministic discrete-event simulation used by
 //     tests, benches and examples;
 //   * rt::ThreadBus — a real multi-threaded in-process message bus
 //     (src/rt), demonstrating that the same protocol objects run outside
-//     the simulator unchanged.
+//     the simulator unchanged;
+//   * sock::SocketTransport — TCP / Unix-domain sockets between processes
+//     (src/sock, DESIGN.md D9).
+// The traffic counters live at this seam too: every transport is a
+// WireCounters and counts each message it accepts through it.
 #pragma once
 
 #include <memory>
 
 #include "common/bytes.h"
 #include "common/ids.h"
+#include "net/wire_counters.h"
 
 namespace faust::net {
 
@@ -38,7 +43,7 @@ class Node {
 };
 
 /// Point-to-point reliable FIFO message fabric.
-class Transport {
+class Transport : public WireCounters {
  public:
   virtual ~Transport() = default;
 
@@ -51,6 +56,11 @@ class Transport {
 
   /// Sends `msg` from `from` to `to`: reliable, FIFO per (from,to) pair.
   virtual void send(NodeId from, NodeId to, Bytes msg) = 0;
+
+ protected:
+  /// `locked_counters`: see WireCounters (false only for a transport
+  /// confined to one thread).
+  explicit Transport(bool locked_counters = true) : WireCounters(locked_counters) {}
 };
 
 }  // namespace faust::net

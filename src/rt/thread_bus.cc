@@ -46,21 +46,7 @@ void ThreadBus::send(NodeId from, NodeId to, Bytes msg) {
     if (it == boxes_.end()) return;  // unknown destination: dropped
     box = it->second;
   }
-  {
-    std::lock_guard lock(stats_mu_);
-    const std::size_t bucket =
-        msg.empty() ? 0
-                    : (msg[0] < net::Network::kTypeBuckets ? msg[0] : std::size_t{0});
-    total_.messages += 1;
-    total_.bytes += msg.size();
-    total_by_type_[bucket].messages += 1;
-    total_by_type_[bucket].bytes += msg.size();
-    ChannelCounters& ch = channels_[{from, to}];
-    ch.stats.messages += 1;
-    ch.stats.bytes += msg.size();
-    ch.by_type[bucket].messages += 1;
-    ch.by_type[bucket].bytes += msg.size();
-  }
+  count(from, to, msg);
   // The shared_ptr keeps the box alive across the enqueue even if the
   // node detaches (and its worker joins) concurrently; a box marked
   // stopping simply drops the message, matching the unknown-destination
@@ -130,34 +116,6 @@ void ThreadBus::drain() {
 
 std::uint64_t ThreadBus::delivered() const {
   return delivered_.load(std::memory_order_relaxed);
-}
-
-net::ChannelStats ThreadBus::total() const {
-  std::lock_guard lock(stats_mu_);
-  return total_;
-}
-
-net::Network::TypeStats ThreadBus::total_by_type() const {
-  std::lock_guard lock(stats_mu_);
-  return total_by_type_;
-}
-
-net::ChannelStats ThreadBus::total_for(std::uint8_t tag) const {
-  std::lock_guard lock(stats_mu_);
-  return total_by_type_[tag < net::Network::kTypeBuckets ? tag : 0];
-}
-
-net::ChannelStats ThreadBus::channel(NodeId from, NodeId to) const {
-  std::lock_guard lock(stats_mu_);
-  const auto it = channels_.find({from, to});
-  return it == channels_.end() ? net::ChannelStats{} : it->second.stats;
-}
-
-net::ChannelStats ThreadBus::channel_for(NodeId from, NodeId to, std::uint8_t tag) const {
-  std::lock_guard lock(stats_mu_);
-  const auto it = channels_.find({from, to});
-  if (it == channels_.end()) return {};
-  return it->second.by_type[tag < net::Network::kTypeBuckets ? tag : 0];
 }
 
 }  // namespace faust::rt

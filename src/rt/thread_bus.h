@@ -13,23 +13,22 @@
 // on_message calls never overlap, since one thread drains its mailbox).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "net/network.h"  // net::ChannelStats, bucket layout shared with Network
 #include "net/transport.h"
 
 namespace faust::rt {
 
-/// Multi-threaded message bus implementing net::Transport.
+/// Multi-threaded message bus implementing net::Transport. Its wire
+/// counters count at send time, only messages to a known (attached)
+/// destination.
 ///
 /// Usage: attach nodes, exchange traffic, then destroy (or stop());
 /// destruction joins all delivery threads after draining is abandoned.
@@ -66,20 +65,6 @@ class ThreadBus : public net::Transport {
   /// Messages delivered so far (all nodes).
   std::uint64_t delivered() const;
 
-  /// Aggregate traffic counters, bucketed by leading wire tag exactly like
-  /// net::Network (bucket 0 collects empty messages and out-of-range tags).
-  net::ChannelStats total() const;
-  net::Network::TypeStats total_by_type() const;
-  net::ChannelStats total_for(std::uint8_t tag) const;
-
-  /// Per-(from,to) directed-channel counters, mirroring net::Network's
-  /// channel()/channel_for() so byte accounting (e.g. cache-on/off
-  /// comparisons) works identically in threaded mode. Counted at send
-  /// time, like the aggregates; a message to an unknown node is not
-  /// counted (it was never accepted by any channel).
-  net::ChannelStats channel(NodeId from, NodeId to) const;
-  net::ChannelStats channel_for(NodeId from, NodeId to, std::uint8_t tag) const;
-
  private:
   struct Box {
     net::Node* node = nullptr;
@@ -99,16 +84,6 @@ class ThreadBus : public net::Transport {
   std::unordered_map<NodeId, std::shared_ptr<Box>> boxes_;
   std::atomic<std::uint64_t> delivered_{0};
   bool stopped_ = false;
-
-  struct ChannelCounters {
-    net::ChannelStats stats;
-    net::Network::TypeStats by_type{};
-  };
-
-  mutable std::mutex stats_mu_;  // guards the traffic counters
-  net::ChannelStats total_;
-  net::Network::TypeStats total_by_type_{};
-  std::map<std::pair<NodeId, NodeId>, ChannelCounters> channels_;
 };
 
 }  // namespace faust::rt

@@ -207,14 +207,10 @@ void ShardedCluster::kill_shard(std::size_t s) {
     procs_->kill(s);
     return;
   }
-  Cluster& shard = this->shard(s);
-  if (!threaded()) {
-    shard.crash_server();
-    return;
-  }
   // Serialize with the shard's own deliveries: the server object must not
   // be destroyed while its thread is mid-message.
-  FAUST_CHECK(exec::post_sync(shard_exec(s), [&shard] { shard.crash_server(); }));
+  Cluster& shard = this->shard(s);
+  FAUST_CHECK(shard.run_sync([&shard] { shard.crash_server(); }));
 }
 
 void ShardedCluster::restart_shard(std::size_t s) {
@@ -228,14 +224,10 @@ void ShardedCluster::restart_shard(std::size_t s) {
     t.unfence(kServerNode);
     if (config_.shard_template.cache.enabled) t.unfence(cache::kCacheNodeId);
     // Resubmit on the shard's runtime: reconnect mutates client state.
-    FAUST_CHECK(exec::post_sync(shard_exec(s), [&shard] { shard.reconnect_clients(); }));
+    FAUST_CHECK(shard.run_sync([&shard] { shard.reconnect_clients(); }));
     return;
   }
-  if (!threaded()) {
-    shard.restart_server();
-    return;
-  }
-  FAUST_CHECK(exec::post_sync(shard_exec(s), [&shard] { shard.restart_server(); }));
+  FAUST_CHECK(shard.run_sync([&shard] { shard.restart_server(); }));
 }
 
 bool ShardedCluster::shard_up(std::size_t s) const {
@@ -268,9 +260,7 @@ bool ShardedCluster::all_failed() const {
 
 net::ChannelStats ShardedCluster::total_traffic() const {
   net::ChannelStats total;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    total += transports_[s] != nullptr ? transports_[s]->total() : shards_[s]->net().total();
-  }
+  for (const auto& shard : shards_) total += shard->transport().total();
   return total;
 }
 

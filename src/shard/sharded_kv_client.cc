@@ -1,34 +1,46 @@
 #include "shard/sharded_kv_client.h"
 
-#include <atomic>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
+#include "shard/sharded_cluster.h"
 
 namespace faust::shard {
+namespace {
 
-ShardedKvClient::ShardedKvClient(ShardedCluster& deployment, ClientId id, kv::KvTuning tuning)
-    : deployment_(deployment), id_(id) {
-  const std::size_t s_count = deployment_.shards();
+std::vector<Cluster*> clusters_of(ShardedCluster& deployment) {
+  std::vector<Cluster*> out;
+  for (std::size_t s = 0; s < deployment.shards(); ++s) out.push_back(&deployment.shard(s));
+  return out;
+}
+
+}  // namespace
+
+ShardedKvClient::ShardedKvClient(ShardedCluster& deployment, ClientId id)
+    : ShardedKvClient(clusters_of(deployment), deployment.router(), id) {}
+
+ShardedKvClient::ShardedKvClient(std::vector<Cluster*> shards, ShardRouter router, ClientId id)
+    : shards_(std::move(shards)), router_(std::move(router)), id_(id) {
+  const std::size_t s_count = shards_.size();
+  FAUST_CHECK(s_count >= 1 && router_.shards() == s_count);
   cache_.resize(s_count);
   kv_.reserve(s_count);
   pending_.resize(s_count);
   chained_on_fail_.resize(s_count);
   for (std::size_t s = 0; s < s_count; ++s) {
-    kv_.push_back(std::make_unique<kv::KvClient>(deployment_.shard(s).client(id_), tuning));
+    kv_.push_back(std::make_unique<kv::KvClient>(shards_[s]->client(id_)));
   }
   // D8: wire the per-shard edge-cache hop. Construction attaches to the
   // shard's network, which (like the fail-hook swap below) may only be
   // touched from the shard's own thread; a stopped runtime simply leaves
   // the shard uncached.
   for (std::size_t s = 0; s < s_count; ++s) {
-    Cluster& shard = deployment_.shard(s);
+    Cluster& shard = *shards_[s];
     if (!shard.cache_options().enabled) continue;
-    const bool made = dispatch_sync(s, [this, s, &shard] {
+    const bool made = shard.run_sync([this, s, &shard] {
       cache_[s] = std::make_unique<cache::CacheClient>(
           id_, cache::kCacheNodeId, shard.n(), shard.sigs(),
-          shard.client(id_).config().data_digest, shard.transport(), deployment_.shard_exec(s),
+          shard.client(id_).config().data_digest, shard.transport(), shard.exec(),
           shard.cache_options().lookup_timeout);
     });
     if (made) kv_[s]->attach_cache(cache_[s].get());
@@ -41,8 +53,8 @@ ShardedKvClient::ShardedKvClient(ShardedCluster& deployment, ClientId id, kv::Kv
   // destructor must not "restore" anything there.
   hooked_.assign(s_count, false);
   for (std::size_t s = 0; s < s_count; ++s) {
-    hooked_[s] = dispatch_sync(s, [this, s] {
-      FaustClient& f = deployment_.shard(s).client(id_);
+    hooked_[s] = shards_[s]->run_sync([this, s] {
+      FaustClient& f = shards_[s]->client(id_);
       chained_on_fail_[s] = f.on_fail;
       auto prev = f.on_fail;
       f.on_fail = [this, s, prev = std::move(prev)](FailureReason reason) {
@@ -57,9 +69,8 @@ ShardedKvClient::ShardedKvClient(ShardedCluster& deployment, ClientId id, kv::Kv
 ShardedKvClient::~ShardedKvClient() {
   // Settle whatever is still in flight: copies of each op's completion
   // lambda remain queued inside the deployment's callback chains and
-  // capture `this`. Firing the abort path flips the ticket's fired flag,
-  // so a delivery arriving after destruction returns before touching the
-  // dead object (the shared flag outlives us by value capture). By the
+  // capture `this`. Settling claims every pending op, so a delivery the
+  // deployment still held would find nothing left to fire. By the
   // destructor contract the deployment is quiescent (threaded: stopped),
   // so touching the shards inline is safe here.
   for (std::size_t s = 0; s < kv_.size(); ++s) settle_failed_shard(s);
@@ -70,38 +81,52 @@ ShardedKvClient::~ShardedKvClient() {
   // only fall back inline once that runtime is stopped.
   for (std::size_t s = 0; s < cache_.size(); ++s) {
     if (cache_[s] == nullptr) continue;
-    if (!dispatch_sync(s, [this, s] { cache_[s].reset(); })) cache_[s].reset();
+    if (!shards_[s]->run_sync([this, s] { cache_[s].reset(); })) cache_[s].reset();
   }
   for (std::size_t s = 0; s < kv_.size(); ++s) {
     if (!hooked_[s]) continue;
     const auto restore = [this, s] {
-      deployment_.shard(s).client(id_).on_fail = std::move(chained_on_fail_[s]);
+      shards_[s]->client(id_).on_fail = std::move(chained_on_fail_[s]);
     };
-    if (!dispatch_sync(s, restore)) restore();
+    if (!shards_[s]->run_sync(restore)) restore();
   }
 }
 
 bool ShardedKvClient::dispatch(std::size_t s, std::function<void()> body) {
-  if (deployment_.threaded()) {
-    return deployment_.shard_exec(s).post(std::move(body)) != 0;
-  }
+  Cluster& shard = *shards_[s];
+  if (!shard.simulated()) return shard.exec().post(std::move(body)) != 0;
   body();
   return true;
 }
 
-bool ShardedKvClient::dispatch_sync(std::size_t s, const std::function<void()>& body) {
-  if (!deployment_.threaded()) {
-    body();
-    return true;
+template <typename Body, typename... Args>
+void ShardedKvClient::run_armed(std::size_t s, std::function<void(Args...)> done, Body body,
+                                std::decay_t<Args>... failure) {
+  std::uint64_t id = 0;
+  {
+    std::lock_guard lock(mu_);
+    id = ++next_op_;
+    pending_[s].emplace(id, [done, failure...] {
+      if (done) done(failure...);
+    });
   }
-  return exec::post_sync(deployment_.shard_exec(s), body);
+  std::function<void(Args...)> complete = [this, s, id, done = std::move(done)](Args... args) {
+    {
+      std::lock_guard lock(mu_);
+      if (pending_[s].erase(id) == 0) return;  // already settled
+    }
+    if (done) done(args...);
+  };
+  if (!dispatch(s, [body = std::move(body), complete]() mutable { body(complete); })) {
+    complete(failure...);  // runtime stopped: the body never runs
+  }
 }
 
 void ShardedKvClient::settle_failed_shard(std::size_t s) {
-  // Detach first: an abort thunk may issue follow-up ops (which now take
-  // the failed-shard fast path) or erase itself via the normal-completion
-  // guard; neither may disturb this iteration — and the thunks relock
-  // mu_, so it cannot be held while they run.
+  // Detach first (which claims the ops): an abort thunk runs its op's
+  // handler, which may issue follow-up ops (they take the failed-shard
+  // fast path) or fold a list under mu_, so mu_ cannot be held while the
+  // thunks run.
   std::map<std::uint64_t, std::function<void()>> aborts;
   {
     std::lock_guard lock(mu_);
@@ -113,64 +138,48 @@ void ShardedKvClient::settle_failed_shard(std::size_t s) {
 
 void ShardedKvClient::put(std::string key, std::string value, PutHandler done) {
   const std::size_t s = home_shard(key);
-  dispatch(s, [this, s, key = std::move(key), value = std::move(value),
-               done = std::move(done)]() mutable {
-    put_on_shard(s, std::move(key), std::move(value), std::move(done), /*is_erase=*/false);
-  });
+  run_armed(
+      s, std::move(done),
+      [this, s, key = std::move(key), value = std::move(value)](PutHandler complete) mutable {
+        put_on_shard(s, std::move(key), std::move(value), std::move(complete),
+                     /*is_erase=*/false);
+      },
+      0);
 }
 
 void ShardedKvClient::erase(const std::string& key, PutHandler done) {
   const std::size_t s = home_shard(key);
-  dispatch(s, [this, s, key, done = std::move(done)]() mutable {
-    put_on_shard(s, key, {}, std::move(done), /*is_erase=*/true);
-  });
+  run_armed(
+      s, std::move(done),
+      [this, s, key](PutHandler complete) {
+        put_on_shard(s, key, {}, std::move(complete), /*is_erase=*/true);
+      },
+      0);
 }
 
 void ShardedKvClient::put_on_shard(std::size_t s, std::string key, std::string value,
-                                   PutHandler done, bool is_erase) {
+                                   PutHandler complete, bool is_erase) {
   kv::KvClient& kv = *kv_[s];
   if (kv.faust().failed()) {
     // fail_i halted the home shard: the write cannot take effect. Report
     // completion-with-timestamp-0 (the Cluster::write convention) rather
     // than leaving the caller waiting on a halted client.
-    if (done) done(0);
+    complete(0);
     return;
   }
   if (is_erase && !kv.owns_key(key)) {
     // No-op erase: KvClient will not publish, so drawing a cross-shard
     // sequence ticket here would desynchronize the counters from the
     // single-deployment oracle (which does not bump either).
-    if (done) done(0);
+    complete(0);
     return;
   }
-  // The shard can also fail *mid-operation* (the halted FaustClient drops
-  // its callbacks); the pending_ ticket lets settle_failed_shard complete
-  // the op with t=0, and the fired flag keeps the two paths idempotent.
-  //
   // The ticket's sequence number is drawn from the cross-shard counter up
   // front (oracle alignment, see header): every shard's counter trails
   // seq_, so advance_seq(my_seq - 1) makes this publication use exactly
   // my_seq — without holding mu_ across the encode/sign work below, which
   // is what the threaded mode parallelizes.
-  std::uint64_t id, my_seq;
-  auto fired = std::make_shared<bool>(false);
-  PutHandler complete;
-  {
-    std::lock_guard lock(mu_);
-    id = ++next_op_;
-    my_seq = ++seq_;
-    complete = [this, s, id, fired, done = std::move(done)](Timestamp t) {
-      {
-        std::lock_guard relock(mu_);
-        if (*fired) return;
-        *fired = true;
-        pending_[s].erase(id);
-      }
-      if (done) done(t);
-    };
-    pending_[s].emplace(id, [complete] { complete(0); });
-  }
-  kv.advance_seq(my_seq - 1);
+  kv.advance_seq(draw_seq() - 1);
   if (is_erase) {
     kv.erase(key, std::move(complete));
   } else {
@@ -180,41 +189,23 @@ void ShardedKvClient::put_on_shard(std::size_t s, std::string key, std::string v
 
 void ShardedKvClient::get(const std::string& key, GetHandler done) {
   const std::size_t s = home_shard(key);
-  dispatch(s, [this, s, key, done = std::move(done)]() mutable {
-    get_on_shard(s, key, std::move(done));
-  });
+  ShardedGetResult failed;
+  failed.shard = s;
+  failed.shard_failed = true;
+  run_armed(
+      s, std::move(done),
+      [this, s, key](GetHandler complete) { get_on_shard(s, key, std::move(complete)); },
+      failed);
 }
 
-void ShardedKvClient::get_on_shard(std::size_t s, const std::string& key, GetHandler done) {
+void ShardedKvClient::get_on_shard(std::size_t s, const std::string& key, GetHandler complete) {
   kv::KvClient& kv = *kv_[s];
   if (kv.faust().failed()) {
     ShardedGetResult r;
     r.shard = s;
     r.shard_failed = true;
-    done(r);
+    complete(r);
     return;
-  }
-  std::uint64_t id;
-  auto fired = std::make_shared<bool>(false);
-  std::function<void(const ShardedGetResult&)> complete;
-  {
-    std::lock_guard lock(mu_);
-    id = ++next_op_;
-    complete = [this, s, id, fired, done = std::move(done)](const ShardedGetResult& r) {
-      {
-        std::lock_guard relock(mu_);
-        if (*fired) return;
-        *fired = true;
-        pending_[s].erase(id);
-      }
-      done(r);
-    };
-    pending_[s].emplace(id, [s, complete] {
-      ShardedGetResult r;
-      r.shard = s;
-      r.shard_failed = true;
-      complete(r);
-    });
   }
   kv.get_ex(key, /*bypass_cache=*/false,
             [&kv, s, complete](std::optional<kv::KvEntry> e, Timestamp read_ts,
@@ -239,59 +230,36 @@ void ShardedKvClient::list(ListHandler done, bool bypass_cache) {
   // fire the handler while later shards are still being dispatched.
   fan->waiting = kv_.size();
   for (std::size_t s = 0; s < kv_.size(); ++s) {
-    dispatch(s, [this, s, fan, bypass_cache] { list_on_shard(s, fan, bypass_cache); });
+    // A null map: the shard failed — its keys are missing, but the
+    // healthy shards' results must still be delivered. The fan state is
+    // shared across shard threads, so it is folded under mu_; the user
+    // handler fires outside the lock, from whichever shard finishes last.
+    snapshot(s, bypass_cache,
+             [this, s, fan](const std::map<std::string, kv::KvEntry>* m, Timestamp,
+                            const kv::ReadOrigin&) {
+               ListHandler done_now;
+               ShardedListResult result_now;
+               {
+                 std::lock_guard lock(mu_);
+                 if (m != nullptr) {
+                   for (const auto& [key, entry] : *m) {
+                     // Home-shard filter: a key can only leak into a
+                     // foreign shard's registers under a misbehaving
+                     // party; it must not shadow (or resurrect) the home
+                     // shard's authoritative entry.
+                     if (home_shard(key) == s) fan->result.entries[key] = entry;
+                   }
+                 } else {
+                   fan->result.complete = false;
+                 }
+                 if (--fan->waiting == 0) {
+                   done_now = std::move(fan->done);
+                   result_now = std::move(fan->result);
+                 }
+               }
+               if (done_now) done_now(result_now);
+             });
   }
-}
-
-void ShardedKvClient::list_on_shard(std::size_t s, const std::shared_ptr<Fan>& fan,
-                                    bool bypass_cache) {
-  std::uint64_t id = 0;
-  {
-    std::lock_guard lock(mu_);
-    id = ++next_op_;
-  }
-  auto fired = std::make_shared<bool>(false);
-  // ok=false: the shard failed — its keys are missing, but the healthy
-  // shards' results must still be delivered. The fan state is shared
-  // across shard threads, so it is folded under mu_; the user handler
-  // fires outside the lock, from whichever shard finishes last.
-  auto finish = [this, s, id, fired, fan](bool ok,
-                                          const std::map<std::string, kv::KvEntry>* m) {
-    ListHandler done_now;
-    ShardedListResult result_now;
-    {
-      std::lock_guard lock(mu_);
-      if (*fired) return;
-      *fired = true;
-      pending_[s].erase(id);
-      if (ok) {
-        for (const auto& [key, entry] : *m) {
-          // Home-shard filter: a key can only leak into a foreign shard's
-          // registers under a misbehaving party; it must not shadow (or
-          // resurrect) the home shard's authoritative entry.
-          if (home_shard(key) == s) fan->result.entries[key] = entry;
-        }
-      } else {
-        fan->result.complete = false;
-      }
-      if (--fan->waiting == 0) {
-        done_now = std::move(fan->done);
-        result_now = std::move(fan->result);
-      }
-    }
-    if (done_now) done_now(result_now);
-  };
-  kv::KvClient& kv = *kv_[s];
-  if (kv.faust().failed()) {
-    finish(false, nullptr);
-    return;
-  }
-  {
-    std::lock_guard lock(mu_);
-    pending_[s].emplace(id, [finish] { finish(false, nullptr); });
-  }
-  kv.list_ex(bypass_cache, [finish](const std::map<std::string, kv::KvEntry>& m, Timestamp,
-                                    const kv::ReadOrigin&) { finish(true, &m); });
 }
 
 std::uint64_t ShardedKvClient::draw_seq() {
@@ -303,121 +271,52 @@ void ShardedKvClient::apply_on_shard(std::size_t s,
                                      std::vector<kv::KvClient::SeqChange> changes,
                                      MutateHandler done) {
   FAUST_CHECK(s < kv_.size());
-  // Arm the pending ticket on the CALLER's thread, before dispatching:
-  // if the shard's runtime stops (or its fail_i settles the shard) before
-  // the body ever runs, destruction-settling still completes the op.
-  std::uint64_t id;
-  auto fired = std::make_shared<bool>(false);
-  MutateHandler complete;
-  {
-    std::lock_guard lock(mu_);
-    id = ++next_op_;
-    complete = [this, s, id, fired, done = std::move(done)](Timestamp t, bool failed) {
-      {
-        std::lock_guard relock(mu_);
-        if (*fired) return;
-        *fired = true;
-        pending_[s].erase(id);
-      }
-      if (done) done(t, failed);
-    };
-    pending_[s].emplace(id, [complete] { complete(0, /*failed=*/true); });
-  }
-  if (!dispatch(s, [this, s, changes = std::move(changes), complete]() mutable {
-        mutate_on_shard(s, std::move(changes), std::move(complete));
-      })) {
-    complete(0, /*failed=*/true);  // runtime stopped: the body never runs
-  }
-}
-
-void ShardedKvClient::mutate_on_shard(std::size_t s,
-                                      std::vector<kv::KvClient::SeqChange> changes,
-                                      MutateHandler complete) {
-  kv::KvClient& kv = *kv_[s];
-  if (kv.faust().failed()) {
-    complete(0, /*failed=*/true);
-    return;
-  }
-  kv.apply_with_seqs(changes, [complete](Timestamp t) { complete(t, /*failed=*/false); });
+  run_armed(
+      s, std::move(done),
+      [this, s, changes = std::move(changes)](MutateHandler complete) {
+        kv::KvClient& kv = *kv_[s];
+        if (kv.faust().failed()) {
+          complete(0, /*failed=*/true);
+          return;
+        }
+        kv.apply_with_seqs(changes,
+                           [complete](Timestamp t) { complete(t, /*failed=*/false); });
+      },
+      0, /*failed=*/true);
 }
 
 void ShardedKvClient::snapshot_on_shard(std::size_t s, SnapshotHandler done) {
   FAUST_CHECK(s < kv_.size());
-  // Same arm-before-dispatch discipline as apply_on_shard.
-  std::uint64_t id;
-  auto fired = std::make_shared<bool>(false);
-  SnapshotHandler complete;
-  {
-    std::lock_guard lock(mu_);
-    id = ++next_op_;
-    complete = [this, s, id, fired, done = std::move(done)](
-                   const std::map<std::string, kv::KvEntry>* m, Timestamp ts,
-                   const kv::ReadOrigin& origin) {
-      {
-        std::lock_guard relock(mu_);
-        if (*fired) return;
-        *fired = true;
-        pending_[s].erase(id);
-      }
-      if (done) done(m, ts, origin);
-    };
-    pending_[s].emplace(id, [complete] { complete(nullptr, 0, kv::ReadOrigin{}); });
-  }
-  if (!dispatch(s, [this, s, complete]() mutable {
-        snapshot_shard(s, std::move(complete));
-      })) {
-    complete(nullptr, 0, kv::ReadOrigin{});  // runtime stopped: the body never runs
-  }
+  snapshot(s, /*bypass_cache=*/false, std::move(done));
 }
 
-void ShardedKvClient::snapshot_shard(std::size_t s, SnapshotHandler complete) {
-  kv::KvClient& kv = *kv_[s];
-  if (kv.faust().failed()) {
-    complete(nullptr, 0, kv::ReadOrigin{});
-    return;
-  }
-  kv.list_ex(/*bypass_cache=*/false,
-             [complete](const std::map<std::string, kv::KvEntry>& m, Timestamp ts,
-                        const kv::ReadOrigin& origin) { complete(&m, ts, origin); });
+void ShardedKvClient::snapshot(std::size_t s, bool bypass_cache, SnapshotHandler done) {
+  run_armed(
+      s, std::move(done),
+      [this, s, bypass_cache](SnapshotHandler complete) {
+        kv::KvClient& kv = *kv_[s];
+        if (kv.faust().failed()) {
+          complete(nullptr, 0, kv::ReadOrigin{});
+          return;
+        }
+        kv.list_ex(bypass_cache, [complete](const std::map<std::string, kv::KvEntry>& m,
+                                            Timestamp ts, const kv::ReadOrigin& origin) {
+          complete(&m, ts, origin);
+        });
+      },
+      nullptr, 0, kv::ReadOrigin{});
 }
 
 void ShardedKvClient::snapshot_degraded_on_shard(std::size_t s, SnapshotHandler done) {
   FAUST_CHECK(s < kv_.size());
-  // Same arm-before-dispatch discipline as snapshot_on_shard.
-  std::uint64_t id;
-  auto fired = std::make_shared<bool>(false);
-  SnapshotHandler complete;
-  {
-    std::lock_guard lock(mu_);
-    id = ++next_op_;
-    complete = [this, s, id, fired, done = std::move(done)](
-                   const std::map<std::string, kv::KvEntry>* m, Timestamp ts,
-                   const kv::ReadOrigin& origin) {
-      {
-        std::lock_guard relock(mu_);
-        if (*fired) return;
-        *fired = true;
-        pending_[s].erase(id);
-      }
-      if (done) done(m, ts, origin);
-    };
-    pending_[s].emplace(id, [complete] { complete(nullptr, 0, kv::ReadOrigin{}); });
-  }
-  if (!dispatch(s, [this, s, complete]() mutable {
-        snapshot_degraded_shard(s, std::move(complete));
-      })) {
-    complete(nullptr, 0, kv::ReadOrigin{});  // runtime stopped: the body never runs
-  }
-}
-
-void ShardedKvClient::snapshot_degraded_shard(std::size_t s, SnapshotHandler complete) {
   // Deliberately no faust().failed() fast path: the degraded read never
   // touches the (possibly misbehaving, possibly unreachable) shard, and
   // verified-stale cache data is no less authentic after fail_i — it is
   // served flagged, or the whole snapshot settles null.
-  kv_[s]->snapshot_degraded(
-      [complete](const std::map<std::string, kv::KvEntry>* m, Timestamp ts,
-                 const kv::ReadOrigin& origin) { complete(m, ts, origin); });
+  run_armed(
+      s, std::move(done),
+      [this, s](SnapshotHandler complete) { kv_[s]->snapshot_degraded(std::move(complete)); },
+      nullptr, 0, kv::ReadOrigin{});
 }
 
 bool ShardedKvClient::any_shard_failed() const {

@@ -1,22 +1,23 @@
-// ShardedKvClient — one logical multi-writer KV client spread over the S
-// deployments of a ShardedCluster.
+// ShardedKvClient — one logical multi-writer KV client spread over S
+// FAUST deployments (shard Clusters) placed by a ShardRouter: the S shards
+// of a ShardedCluster, or one bare Cluster as S = 1 (api::open_store).
 //
-// Routing: a key's home shard is fixed by the deployment's ShardRouter;
+// Routing: a key's home shard is fixed by the ShardRouter;
 // puts and gets go only to the home shard, list fans out to every shard
 // concurrently and merges (each shard's read pipeline advances
 // independently, so a full list costs ~one shard's latency, not S of
 // them).
 //
-// Execution modes: in a kDeterministic deployment every operation runs
-// inline on the caller's thread, exactly as before the executor seam. In
-// a kThreaded deployment each operation's body is post()ed onto the home
-// shard's runtime (list: onto every shard's runtime), so the protocol
-// objects are only ever touched by their owning shard thread; completion
-// handlers therefore run on shard threads, and concurrent completions
-// from different shards merge under an internal mutex. Operations may be
-// issued from any one caller thread; the object itself is not a
-// multi-producer API (one logical client = one issuing thread, matching
-// the paper's well-formed executions).
+// Execution modes: on simulated shards (Cluster::simulated) every
+// operation runs inline on the caller's thread, exactly as before the
+// executor seam. On threaded shards each operation's body is post()ed
+// onto the home shard's runtime (list: onto every shard's runtime), so
+// the protocol objects are only ever touched by their owning shard
+// thread; completion handlers therefore run on shard threads, and
+// concurrent completions from different shards merge under an internal
+// mutex. Operations may be issued from any one caller thread; the object
+// itself is not a multi-producer API (one logical client = one issuing
+// thread, matching the paper's well-formed executions).
 //
 // Oracle equivalence: each per-shard kv::KvClient keeps its own put
 // counter, but conflict winners are chosen by (seq, writer) — so every
@@ -31,7 +32,10 @@
 //   * fail_i on ANY shard surfaces through `on_fail(shard, reason)`, and
 //     ops routed to a failed shard complete immediately with
 //     `shard_failed` set (a get) or timestamp 0 (a put) instead of
-//     hanging — the paper's fail_i halts the underlying FaustClient.
+//     hanging — the paper's fail_i halts the underlying FaustClient. An
+//     op whose shard runtime is stopped completes the same way, inline.
+//     Every op is registered before it is dispatched, so fail_i and
+//     destruction settle even ops whose body never ran.
 //   * a key's value is *stable* only when its home shard's stability cut
 //     covers the reads that observed the winning write: stable(result)
 //     compares the get's home-shard read timestamp against that shard's
@@ -47,12 +51,16 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "faust/cluster.h"
 #include "kvstore/kv_client.h"
-#include "shard/sharded_cluster.h"
+#include "shard/shard_router.h"
 
 namespace faust::shard {
+
+class ShardedCluster;
 
 /// A sharded get: the merged entry plus the home shard's fail-aware
 /// context.
@@ -76,7 +84,7 @@ struct ShardedListResult {
   bool complete = false;  // false when a failed shard's keys are missing
 };
 
-/// KV facade over one client id across every shard of a ShardedCluster.
+/// KV facade over one client id across every shard of a deployment.
 class ShardedKvClient {
  public:
   using PutHandler = kv::KvClient::PutHandler;
@@ -84,12 +92,15 @@ class ShardedKvClient {
   using ListHandler = std::function<void(const ShardedListResult&)>;
   using FailHandler = std::function<void(std::size_t shard, FailureReason)>;
 
-  /// Binds client `id` of every shard. The deployment must outlive this
-  /// object; at most one ShardedKvClient (or plain KvClient) per
-  /// (deployment, id) — they must not share FaustClients. `tuning` is
-  /// applied to every per-shard engine (the differential tests force the
-  /// legacy paths through it).
-  ShardedKvClient(ShardedCluster& deployment, ClientId id, kv::KvTuning tuning = {});
+  /// Binds client `id` of every cluster in `shards`; `router` places keys
+  /// on them (router.shards() == shards.size()). All shards run in one
+  /// execution mode (all simulated, or all on threaded runtimes). The
+  /// clusters must outlive this object; at most one ShardedKvClient (or
+  /// plain KvClient) per (cluster, id) — they must not share FaustClients.
+  ShardedKvClient(std::vector<Cluster*> shards, ShardRouter router, ClientId id);
+
+  /// Binds client `id` of every shard of `deployment`, placed by its router.
+  ShardedKvClient(ShardedCluster& deployment, ClientId id);
 
   /// Destruction settles every in-flight op with its failure outcome
   /// (put → t=0, get → shard_failed, list → complete=false), so handlers
@@ -139,17 +150,14 @@ class ShardedKvClient {
 
   /// Applies `changes` (with their pre-drawn tickets, KvClient
   /// apply_with_seqs rules) to shard `s`'s partition in ONE publication.
-  /// The caller must route only keys homed on `s` here. The op is
-  /// registered in the pending set BEFORE it is dispatched to the shard
-  /// thread, so it settles with the failure outcome even when the runtime
-  /// stops before the body ever runs.
+  /// The caller must route only keys homed on `s` here.
   void apply_on_shard(std::size_t s, std::vector<kv::KvClient::SeqChange> changes,
                       MutateHandler done);
 
   /// One merged snapshot of shard `s` (n register reads), serving any
   /// number of point lookups and list contributions at a batch's read
-  /// point. Settles with (nullopt, 0) if the shard fails (or its runtime
-  /// stops) mid-operation; same arm-before-dispatch guarantee as above.
+  /// point. Settles with (nullptr, 0, {}) if the shard fails (or its
+  /// runtime stops) mid-operation.
   void snapshot_on_shard(std::size_t s, SnapshotHandler done);
 
   /// D10 degraded snapshot of shard `s`: cache-ONLY, allow_stale — the
@@ -174,9 +182,7 @@ class ShardedKvClient {
   /// before traffic starts and treat it as a cross-thread callback.
   FailHandler on_fail;
 
-  std::size_t home_shard(std::string_view key) const {
-    return deployment_.router().shard_of(key);
-  }
+  std::size_t home_shard(std::string_view key) const { return router_.shard_of(key); }
 
   /// Threaded mode: meaningful only at quiescence (no op in flight).
   bool any_shard_failed() const;
@@ -194,6 +200,9 @@ class ShardedKvClient {
   ClientId id() const { return id_; }
   std::size_t shards() const { return kv_.size(); }
 
+  /// Shard `s`'s deployment (its client id() is this client's FaustClient).
+  Cluster& shard(std::size_t s) const { return *shards_[s]; }
+
   /// The per-shard KV client (tests inspect partitions and counters; in
   /// threaded mode only from the shard's thread or at quiescence).
   kv::KvClient& shard_kv(std::size_t s) { return *kv_[s]; }
@@ -206,27 +215,29 @@ class ShardedKvClient {
     ListHandler done;
   };
 
-  /// Runs `body` on shard `s`'s executor thread: inline when the
-  /// deployment is deterministic (single-threaded), post()ed when
-  /// threaded. All protocol-object access funnels through this. Returns
-  /// false when a stopped runtime refused the post (the body will never
-  /// run); ops with an armed pending ticket must then settle themselves.
+  /// Runs `body` on shard `s`'s executor thread: inline when the shard is
+  /// simulated (single-threaded), post()ed when threaded. All
+  /// protocol-object access funnels through this. Returns false when a
+  /// stopped runtime refused the post (the body will never run).
   bool dispatch(std::size_t s, std::function<void()> body);
 
-  /// Posts `body` to shard `s` and waits for it to run (threaded), or
-  /// runs it inline (deterministic). Construction-time only. Returns
-  /// false when the shard's runtime was stopped and the body never ran.
-  bool dispatch_sync(std::size_t s, const std::function<void()>& body);
+  /// The one op path, arm before dispatch: registers the op in shard
+  /// `s`'s pending set on the CALLER's thread, then dispatches
+  /// `body(complete)`. The first of the op's normal completion,
+  /// settle_failed_shard (fail_i, destruction) and a refused dispatch
+  /// (stopped runtime) wins; the last two deliver `failure`. So every
+  /// handler fires exactly once — even when the body never runs.
+  template <typename Body, typename... Args>
+  void run_armed(std::size_t s, std::function<void(Args...)> done, Body body,
+                 std::decay_t<Args>... failure);
 
   // Operation bodies; always run on shard `s`'s thread.
-  void put_on_shard(std::size_t s, std::string key, std::string value, PutHandler done,
+  void put_on_shard(std::size_t s, std::string key, std::string value, PutHandler complete,
                     bool is_erase);
-  void get_on_shard(std::size_t s, const std::string& key, GetHandler done);
-  void list_on_shard(std::size_t s, const std::shared_ptr<Fan>& fan, bool bypass_cache);
-  void mutate_on_shard(std::size_t s, std::vector<kv::KvClient::SeqChange> changes,
-                       MutateHandler complete);
-  void snapshot_shard(std::size_t s, SnapshotHandler complete);
-  void snapshot_degraded_shard(std::size_t s, SnapshotHandler complete);
+  void get_on_shard(std::size_t s, const std::string& key, GetHandler complete);
+  /// Snapshot op (armed) on shard `s`: snapshot_on_shard and list's
+  /// per-shard leg.
+  void snapshot(std::size_t s, bool bypass_cache, SnapshotHandler done);
 
   /// Completes every op still in flight on shard `s` with its failure
   /// outcome. fail_i mid-operation halts the FaustClient and drops its
@@ -236,7 +247,8 @@ class ShardedKvClient {
   /// teardown, when nothing else runs).
   void settle_failed_shard(std::size_t s);
 
-  ShardedCluster& deployment_;
+  const std::vector<Cluster*> shards_;
+  const ShardRouter router_;
   const ClientId id_;
 
   /// Guards seq_, next_op_, pending_ and Fan state: the only state shared
@@ -251,8 +263,10 @@ class ShardedKvClient {
   /// attach_cache) is destroyed first.
   std::vector<std::unique_ptr<cache::CacheClient>> cache_;
   std::vector<std::unique_ptr<kv::KvClient>> kv_;          // [shard]
-  /// [shard]: abort thunk per in-flight op; each thunk completes its op
-  /// with the failed-shard outcome (idempotent with the normal path).
+  /// [shard]: abort thunk per in-flight op; each thunk fires its op's
+  /// handler with the failed-shard outcome. Taking an entry out claims
+  /// the op, so the abort and the normal completion fire at most once
+  /// between them.
   std::vector<std::map<std::uint64_t, std::function<void()>>> pending_;
   std::vector<FaustClient::FailHandler> chained_on_fail_;  // restored at dtor
   /// [shard]: the fail hook swap actually ran (its runtime was alive);

@@ -12,11 +12,6 @@
 #include "common/check.h"
 
 namespace faust::sock {
-namespace {
-
-std::uint8_t leading_tag(const Bytes& msg) { return msg.empty() ? 0 : msg[0]; }
-
-}  // namespace
 
 std::chrono::milliseconds next_backoff(std::chrono::milliseconds base,
                                        std::chrono::milliseconds cap,
@@ -116,18 +111,8 @@ void SocketTransport::send(NodeId from, NodeId to, Bytes msg) {
       return;
     }
     // Payload counters stamped for every accepted message, local or
-    // remote, so bytes/op match the Network/ThreadBus mirrors.
-    const std::uint8_t tag = leading_tag(msg);
-    const std::size_t bucket = tag < net::Network::kTypeBuckets ? tag : 0;
-    auto& ch = channels_[{from, to}];
-    ch.stats.messages += 1;
-    ch.stats.bytes += msg.size();
-    ch.by_type[bucket].messages += 1;
-    ch.by_type[bucket].bytes += msg.size();
-    total_.stats.messages += 1;
-    total_.stats.bytes += msg.size();
-    total_.by_type[bucket].messages += 1;
-    total_.by_type[bucket].bytes += msg.size();
+    // remote, so bytes/op match Network and ThreadBus.
+    count(from, to, msg);
 
     // Local targets are decided by box presence alone (a box exists once
     // the node was ever attached here); whether the node is CURRENTLY
@@ -195,35 +180,6 @@ void SocketTransport::set_chaos(ChaosOptions chaos) {
 void SocketTransport::inject_reset() {
   chaos_reset_.store(true, std::memory_order_release);
   wake();
-}
-
-net::ChannelStats SocketTransport::total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_.stats;
-}
-
-net::Network::TypeStats SocketTransport::total_by_type() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_.by_type;
-}
-
-net::ChannelStats SocketTransport::total_for(std::uint8_t tag) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_.by_type[tag < net::Network::kTypeBuckets ? tag : 0];
-}
-
-net::ChannelStats SocketTransport::channel(NodeId from, NodeId to) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = channels_.find({from, to});
-  return it == channels_.end() ? net::ChannelStats{} : it->second.stats;
-}
-
-net::ChannelStats SocketTransport::channel_for(NodeId from, NodeId to,
-                                               std::uint8_t tag) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = channels_.find({from, to});
-  if (it == channels_.end()) return {};
-  return it->second.by_type[tag < net::Network::kTypeBuckets ? tag : 0];
 }
 
 WireStats SocketTransport::wire() const {

@@ -23,8 +23,8 @@
 // hop. sim::Scheduler is NOT a legal executor here: it is
 // single-threaded and the loop thread could not post into it.
 //
-// Outbound: send() may be called from any thread. It stamps the
-// per-channel counters, frames the message, and hands it to the loop
+// Outbound: send() may be called from any thread. It stamps the wire
+// counters, frames the message, and hands it to the loop
 // through a wake pipe; the loop routes it to the pooled connection
 // (dialling lazily, nonblocking) or parks it in the per-peer pending
 // queue while the dial is in flight. Queues are BOUNDED
@@ -64,7 +64,6 @@
 #include "common/ids.h"
 #include "common/rng.h"
 #include "exec/executor.h"
-#include "net/network.h"  // ChannelStats / TypeStats (counter mirror)
 #include "net/transport.h"
 #include "sock/endpoint.h"
 #include "sock/frame.h"
@@ -205,16 +204,10 @@ class SocketTransport final : public net::Transport {
 
   std::uint64_t incarnation() const { return config_.incarnation; }
 
-  /// Per-channel payload counters, mirroring net::Network: bytes here are
-  /// PAYLOAD bytes (what the protocol put on the channel), so bytes/op
-  /// numbers are comparable across Network, ThreadBus and sockets; the
-  /// framing overhead is reported separately in wire(). Counted at
-  /// send(), tagged by the leading payload byte (ustor::MsgType).
-  net::ChannelStats total() const;
-  net::Network::TypeStats total_by_type() const;
-  net::ChannelStats total_for(std::uint8_t tag) const;
-  net::ChannelStats channel(NodeId from, NodeId to) const;
-  net::ChannelStats channel_for(NodeId from, NodeId to, std::uint8_t tag) const;
+  // The inherited wire counters (net::WireCounters) hold PAYLOAD bytes
+  // (what the protocol put on the channel), counted at send() after the
+  // fence and blackhole checks, local and remote alike; the framing
+  // overhead is reported separately in wire().
 
   /// Socket-level counters (framing overhead, reconnects, drops).
   WireStats wire() const;
@@ -299,12 +292,6 @@ class SocketTransport final : public net::Transport {
   std::unordered_map<NodeId, std::shared_ptr<LocalNode>> nodes_;
   std::unordered_set<NodeId> fenced_;
   std::deque<Outgoing> ingress_;  // handed to the loop via wake()
-  struct ChannelCounters {
-    net::ChannelStats stats;
-    net::Network::TypeStats by_type{};
-  };
-  std::map<std::pair<NodeId, NodeId>, ChannelCounters> channels_;
-  ChannelCounters total_{};
   WireStats wire_{};
   std::unordered_set<NodeId> chaos_blackhole_;  // under mu_
 

@@ -16,14 +16,13 @@ bool same_bytes(BytesView a, BytesView b) {
 
 Client::Client(ClientId id, int n, std::shared_ptr<const crypto::SignatureScheme> sigs,
                net::Transport& net, NodeId server, std::size_t verify_cache_entries,
-               DigestMode digest_mode, bool wire_deltas)
+               DigestMode digest_mode)
     : id_(id),
       n_(n),
       sigs_(std::make_shared<crypto::VerifyCache>(std::move(sigs), verify_cache_entries)),
       net_(net),
       server_(server),
       digest_mode_(digest_mode),
-      wire_deltas_(wire_deltas && digest_mode == DigestMode::kChunked),
       bottom_digest_(value_digest(digest_mode, std::nullopt)),
       version_(n),
       verified_commit_(static_cast<std::size_t>(n)),
@@ -80,7 +79,7 @@ void Client::writex_delta(const crypto::Hash& base_digest, const crypto::Hash& n
                           std::uint64_t new_size, std::vector<Splice> splices,
                           WriteCallback done) {
   FAUST_CHECK(!busy());
-  FAUST_CHECK(wire_deltas_);
+  FAUST_CHECK(digest_mode_ == DigestMode::kChunked);
   if (failed()) return;
 
   const Timestamp t = version_.v(id_) + 1;  // line 12
@@ -124,7 +123,8 @@ void Client::send_read_submit(ClientId j, bool allow_delta) {
 
   const VerifiedData& memo = verified_data_[static_cast<std::size_t>(j - 1)];
   const bool advertise =
-      allow_delta && wire_deltas_ && !memo.sig.empty() && memo.value.has_value();
+      allow_delta && digest_mode_ == DigestMode::kChunked && !memo.sig.empty() &&
+      memo.value.has_value();
   pending_->advertised = advertise;
   if (advertise) {
     ++delta_reads_advertised_;

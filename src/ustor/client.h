@@ -103,15 +103,14 @@ class Client : public net::Node {
   /// scheme in (see crypto/verify_cache.h for the eviction policy).
   /// `digest_mode` selects how DATA payload digests are computed; every
   /// client of a deployment must use the same mode (the verifier
-  /// recomputes the signer's digest).
-  /// `wire_deltas` opts into the D6 delta wire protocol (SUBMIT_DELTA /
-  /// REPLY_DELTA); it only takes effect under DigestMode::kChunked, whose
-  /// chunk trees make deltas verifiable. Replies degrade to the full-value
-  /// path on any base mismatch, so mixed deployments stay correct.
+  /// recomputes the signer's digest). DigestMode::kChunked, whose chunk
+  /// trees make deltas verifiable, also speaks the D6 delta wire protocol
+  /// (SUBMIT_DELTA / REPLY_DELTA); kFlat speaks the full-value wire.
+  /// Replies degrade to the full-value path on any base mismatch, so
+  /// mixed deployments stay correct.
   Client(ClientId id, int n, std::shared_ptr<const crypto::SignatureScheme> sigs,
          net::Transport& net, NodeId server = kServerNode,
-         std::size_t verify_cache_entries = 4096, DigestMode digest_mode = DigestMode::kFlat,
-         bool wire_deltas = false);
+         std::size_t verify_cache_entries = 4096, DigestMode digest_mode = DigestMode::kFlat);
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
@@ -135,12 +134,12 @@ class Client : public net::Node {
   /// maintains incrementally. `base_digest` must be the root of the value
   /// currently held by the server (our previous publish); on any server-
   /// side mismatch the submit is dropped and the caller's timeout/retry
-  /// machinery re-publishes in full. Requires wire deltas to be active.
+  /// machinery re-publishes in full. Requires DigestMode::kChunked.
   void writex_delta(const crypto::Hash& base_digest, const crypto::Hash& new_root,
                     std::uint64_t new_size, std::vector<Splice> splices, WriteCallback done);
 
   /// Extended read of register X_j (paper's readx_i), 1 <= j <= n.
-  /// With wire deltas active and a verified value of X_j memoized, the
+  /// Under kChunked digests, with a verified value of X_j memoized, the
   /// request advertises (t_j, x̄_j) so the server may answer with an
   /// "unchanged" token or a splice run instead of the full value.
   void readx(ClientId j, ReadCallback done);
@@ -190,9 +189,6 @@ class Client : public net::Node {
   /// OFF keeps the wire bytes (and pinned message counts) unchanged.
   void set_attach_commits(bool on) { attach_commits_ = on; }
   bool attach_commits() const { return attach_commits_; }
-
-  /// True when the D6 delta wire protocol is in effect for this client.
-  bool wire_deltas() const { return wire_deltas_; }
 
   // D6 outcome counters (diagnostics; benches surface them as JSON).
   std::uint64_t delta_submits() const { return delta_submits_; }
@@ -304,8 +300,7 @@ class Client : public net::Node {
   const std::shared_ptr<const crypto::VerifyCache> sigs_;
   net::Transport& net_;
   const NodeId server_;
-  const DigestMode digest_mode_;
-  const bool wire_deltas_;            // D6 active (requires kChunked)
+  const DigestMode digest_mode_;  // kChunked also speaks the D6 delta wire
   const crypto::Hash bottom_digest_;  // x̄ of ⊥ (mode-independent)
 
   crypto::Hash xbar_;       // hash of own register's last written value

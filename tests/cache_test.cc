@@ -137,16 +137,17 @@ struct CacheRig {
   std::vector<std::unique_ptr<CacheClient>> hops;
 
   explicit CacheRig(std::uint64_t seed, CacheOptions copts = make_opts(),
-                    kv::KvTuning tuning = {}, int n = 3) {
+                    ustor::DigestMode digest = ustor::DigestMode::kChunked, int n = 3) {
     cfg.n = n;
     cfg.seed = seed;
     cfg.faust.dummy_read_period = 0;
     cfg.faust.probe_check_period = 0;
+    cfg.faust.data_digest = digest;
     cluster = std::make_unique<Cluster>(cfg);
     node = std::make_unique<CacheNode>(kCacheNodeId, cluster->net(), cluster->exec(), n,
                                        copts);
     for (ClientId i = 1; i <= n; ++i) {
-      kv.push_back(std::make_unique<kv::KvClient>(cluster->client(i), tuning));
+      kv.push_back(std::make_unique<kv::KvClient>(cluster->client(i)));
       hops.push_back(std::make_unique<CacheClient>(
           i, kCacheNodeId, n, cluster->sigs(), cfg.faust.data_digest, cluster->net(),
           cluster->exec(), copts.lookup_timeout));
@@ -422,7 +423,7 @@ TEST(CacheStore, CachedGetSurfacesOriginAndIsNeverStable) {
   cfg.seed = 28;
   cfg.faust.dummy_read_period = 0;
   cfg.faust.probe_check_period = 0;
-  cfg.cache.enabled = true;  // Cluster owns the node; SingleStore attaches hops
+  cfg.cache.enabled = true;  // Cluster owns the node; the store attaches hops
   Cluster cluster(cfg);
   auto s1 = api::open_store(cluster, 1);
   auto s2 = api::open_store(cluster, 2);
@@ -448,16 +449,17 @@ TEST(CacheStore, CachedGetSurfacesOriginAndIsNeverStable) {
   EXPECT_EQ(all.entries.at("k").value, "v");
 }
 
-// --- The deltas × cache differential (2×2, byte-identical views) ------------
+// --- The digest mode × cache differential (2×2, byte-identical views) -------
 
-TEST(CacheDifferential, TuningAndCacheAreInvisibleInTheMergedView) {
-  // Same seeded op script under {delta, legacy} × {cache, no-cache}: the
-  // bypass-cache merged views (and entry-for-entry winners) must be
-  // IDENTICAL — the cache is performance, never semantics.
-  const auto run = [](bool with_cache, kv::KvTuning tuning) {
+TEST(CacheDifferential, DigestModeAndCacheAreInvisibleInTheMergedView) {
+  // Same seeded op script under {kChunked, kFlat} × {cache, no-cache}:
+  // the bypass-cache merged views (and entry-for-entry winners) must be
+  // IDENTICAL — the cache and the delta wire are performance, never
+  // semantics.
+  const auto run = [](bool with_cache, ustor::DigestMode digest) {
     CacheOptions opts = CacheRig::make_opts();
     opts.enabled = with_cache;
-    CacheRig rig(29, opts, tuning);
+    CacheRig rig(29, opts, digest);
     if (!with_cache) {
       for (auto& c : rig.kv) c->attach_cache(nullptr);
     }
@@ -478,10 +480,10 @@ TEST(CacheDifferential, TuningAndCacheAreInvisibleInTheMergedView) {
     return rig.list(1, /*bypass=*/true);
   };
 
-  const auto base = run(false, kv::KvTuning{false, false});
-  EXPECT_EQ(run(false, kv::KvTuning{true, true}), base);
-  EXPECT_EQ(run(true, kv::KvTuning{false, false}), base);
-  EXPECT_EQ(run(true, kv::KvTuning{true, true}), base);
+  const auto base = run(false, ustor::DigestMode::kFlat);
+  EXPECT_EQ(run(false, ustor::DigestMode::kChunked), base);
+  EXPECT_EQ(run(true, ustor::DigestMode::kFlat), base);
+  EXPECT_EQ(run(true, ustor::DigestMode::kChunked), base);
   ASSERT_FALSE(base.empty());
   ASSERT_TRUE(base.count("beta"));
   EXPECT_EQ(base.at("beta").value, "final");

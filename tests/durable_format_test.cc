@@ -119,7 +119,7 @@ std::unique_ptr<ustor::Client> delta_client(ClientId id, int n,
                                             std::shared_ptr<const crypto::SignatureScheme> sigs,
                                             net::Transport& net) {
   return std::make_unique<ustor::Client>(id, n, std::move(sigs), net, kServerNode, 4096,
-                                         ustor::DigestMode::kChunked, /*wire_deltas=*/true);
+                                         ustor::DigestMode::kChunked);
 }
 
 Bytes big_value(std::uint8_t fill, int edits) {

@@ -1,8 +1,8 @@
 // O(change) KV machinery: incremental partition encoding, version-keyed
-// decode memos and the merged-view cache must be pure performance — byte-
-// identical publications, identical merged views and stability cuts vs
-// the legacy full-reencode/full-decode paths — and must never weaken the
-// Byzantine story: a tampered or replayed partition is rejected by the
+// decode memos and the merged-view cache must be pure performance —
+// publications byte-identical to encode_partition() of an in-memory
+// model, merged views and stability cuts identical across the kChunked
+// and kFlat digest modes — and must never weaken the Byzantine story: a tampered or replayed partition is rejected by the
 // FAUST/USTOR checks BEFORE any memo is consulted (the memos are keyed
 // only by verified digests).
 #include <gtest/gtest.h>
@@ -23,8 +23,7 @@ namespace faust::kv {
 namespace {
 
 struct Rig {
-  Rig(std::uint64_t seed, KvTuning tuning, ustor::DigestMode digest, int n = 3,
-      bool with_server = true) {
+  Rig(std::uint64_t seed, ustor::DigestMode digest, int n = 3, bool with_server = true) {
     ClusterConfig cfg;
     cfg.n = n;
     cfg.seed = seed;
@@ -34,7 +33,7 @@ struct Rig {
     cfg.with_server = with_server;
     cluster = std::make_unique<Cluster>(cfg);
     for (ClientId i = 1; i <= n; ++i) {
-      kv.push_back(std::make_unique<KvClient>(cluster->client(i), tuning));
+      kv.push_back(std::make_unique<KvClient>(cluster->client(i)));
     }
   }
 
@@ -86,9 +85,6 @@ struct Rig {
   std::vector<std::unique_ptr<KvClient>> kv;
 };
 
-constexpr KvTuning kDelta{true, true};
-constexpr KvTuning kLegacy{false, false};
-
 // --- Incremental encoding --------------------------------------------------
 
 TEST(IncrementalEncoding, SplicedBufferAlwaysEqualsFullReencode) {
@@ -96,7 +92,7 @@ TEST(IncrementalEncoding, SplicedBufferAlwaysEqualsFullReencode) {
   // size-changing overwrites), erases (first/middle/last), and batches;
   // after every op the maintained buffer must equal a from-scratch
   // canonical encoding — splices are invisible.
-  Rig rig(11, kDelta, ustor::DigestMode::kChunked);
+  Rig rig(11, ustor::DigestMode::kChunked);
   Rng rng(7);
   std::vector<std::string> keys;
   for (int op = 0; op < 120; ++op) {
@@ -133,34 +129,42 @@ TEST(IncrementalEncoding, SplicedBufferAlwaysEqualsFullReencode) {
   EXPECT_LE(rig.client(1).encode_rebuilds(), 1u);
 }
 
-TEST(IncrementalEncoding, PublishedBytesIdenticalToLegacyEngine) {
-  // Same ops through a delta and a legacy engine: readers of either must
-  // decode identical partitions (the knob changes cost, never bytes).
-  Rig delta(21, kDelta, ustor::DigestMode::kChunked);
-  Rig legacy(21, kLegacy, ustor::DigestMode::kFlat);
+TEST(IncrementalEncoding, PublishedBytesIdenticalToModelEncoding) {
+  // Same ops through a kChunked and a kFlat engine and an in-memory
+  // model of writer 2's partition (key -> value, seq; the seq counts puts
+  // and effective erases): both engines must keep exactly the canonical
+  // encoding of the model (the digest mode changes cost, never bytes).
+  Rig chunked(21, ustor::DigestMode::kChunked);
+  Rig flat(21, ustor::DigestMode::kFlat);
+  std::map<std::string, std::pair<std::string, std::uint64_t>> model;
+  std::uint64_t seq = 0;
   Rng rng(3);
   for (int op = 0; op < 40; ++op) {
     const std::string key = "k" + std::to_string(rng.next_below(12));
     if (rng.next_below(4) == 0) {
-      delta.erase(2, key);
-      legacy.erase(2, key);
+      chunked.erase(2, key);
+      flat.erase(2, key);
+      if (model.erase(key) > 0) ++seq;
     } else {
       const std::string value = "v" + std::to_string(op);
-      delta.put(2, key, value);
-      legacy.put(2, key, value);
+      chunked.put(2, key, value);
+      flat.put(2, key, value);
+      model[key] = {value, ++seq};
     }
-    const BytesView a = delta.client(2).encoded_partition();
-    const BytesView b = legacy.client(2).encoded_partition();
-    ASSERT_EQ(Bytes(a.begin(), a.end()), Bytes(b.begin(), b.end())) << "after op " << op;
+    const Bytes want = encode_map(model);
+    const BytesView a = chunked.client(2).encoded_partition();
+    const BytesView b = flat.client(2).encoded_partition();
+    ASSERT_EQ(Bytes(a.begin(), a.end()), want) << "kChunked after op " << op;
+    ASSERT_EQ(Bytes(b.begin(), b.end()), want) << "kFlat after op " << op;
   }
-  EXPECT_GT(delta.client(2).encode_splices(), 0u);
-  EXPECT_EQ(legacy.client(2).encode_splices(), 0u) << "legacy must take the rebuild path";
+  EXPECT_GT(chunked.client(2).encode_splices(), 0u);
+  EXPECT_GT(flat.client(2).encode_splices(), 0u);
 }
 
 // --- Decode memos and the merged-view cache --------------------------------
 
 TEST(DecodeMemo, UnchangedSnapshotsSkipDecodeAndMerge) {
-  Rig rig(31, kDelta, ustor::DigestMode::kChunked);
+  Rig rig(31, ustor::DigestMode::kChunked);
   rig.put(1, "a", "1");
   rig.put(2, "b", "2");
   rig.put(3, "c", "3");
@@ -182,7 +186,7 @@ TEST(DecodeMemo, UnchangedSnapshotsSkipDecodeAndMerge) {
 }
 
 TEST(DecodeMemo, WriteInvalidatesExactlyTheChangedPartition) {
-  Rig rig(32, kDelta, ustor::DigestMode::kChunked);
+  Rig rig(32, ustor::DigestMode::kChunked);
   rig.put(1, "a", "1");
   rig.put(2, "b", "2");
   rig.put(3, "c", "3");
@@ -199,22 +203,20 @@ TEST(DecodeMemo, WriteInvalidatesExactlyTheChangedPartition) {
   EXPECT_EQ(rig.client(1).decode_memo_misses(), misses_before + 1u)
       << "only the rewritten partition re-decodes";
 
-  // And the view agrees with a memo-less engine replaying the same state.
-  Rig oracle(32, kLegacy, ustor::DigestMode::kFlat);
-  oracle.put(1, "a", "1");
-  oracle.put(2, "b", "2");
-  oracle.put(3, "c", "3");
-  oracle.put(3, "c", "3-new");
-  EXPECT_EQ(rig.list(1), oracle.list(1));
+  // And the view is exactly the (seq, writer) merge of the state written.
+  const std::map<std::string, KvEntry> model = {
+      {"a", KvEntry{"1", 1, 1}}, {"b", KvEntry{"2", 2, 1}}, {"c", KvEntry{"3-new", 3, 2}}};
+  EXPECT_EQ(rig.list(1), model);
 }
 
-TEST(DecodeMemo, ViewsAndStabilityCutsIdenticalAcrossTunings) {
-  // The acceptance pin: the delta paths and the forced-legacy paths must
-  // produce identical winners AND identical stability cuts. Same cluster
-  // seed + same ops = same message schedule (the knobs change neither
-  // message count nor sizes), so even the cut vectors match exactly.
-  Rig delta(77, kDelta, ustor::DigestMode::kChunked);
-  Rig legacy(77, kLegacy, ustor::DigestMode::kFlat);
+TEST(DecodeMemo, ViewsAndStabilityCutsIdenticalAcrossDigestModes) {
+  // The acceptance pin: a kChunked deployment (delta wire) and a kFlat
+  // one (full-value wire) must produce identical winners AND identical
+  // stability cuts. Same cluster seed + same ops = same message schedule
+  // (the digest mode changes message sizes, not counts, and delays are
+  // drawn per message), so even the cut vectors match exactly.
+  Rig chunked(77, ustor::DigestMode::kChunked);
+  Rig flat(77, ustor::DigestMode::kFlat);
   Rng rng(5);
   for (int op = 0; op < 60; ++op) {
     const ClientId who = static_cast<ClientId>(1 + rng.next_below(3));
@@ -222,15 +224,15 @@ TEST(DecodeMemo, ViewsAndStabilityCutsIdenticalAcrossTunings) {
     const std::size_t kind = rng.next_below(10);
     if (kind < 6) {
       const std::string value = "v" + std::to_string(op);
-      delta.put(who, key, value);
-      legacy.put(who, key, value);
+      chunked.put(who, key, value);
+      flat.put(who, key, value);
     } else if (kind < 8) {
-      delta.erase(who, key);
-      legacy.erase(who, key);
+      chunked.erase(who, key);
+      flat.erase(who, key);
     } else {
       std::optional<KvEntry> a, b;
-      ASSERT_TRUE(delta.try_get(who, key, &a));
-      ASSERT_TRUE(legacy.try_get(who, key, &b));
+      ASSERT_TRUE(chunked.try_get(who, key, &a));
+      ASSERT_TRUE(flat.try_get(who, key, &b));
       ASSERT_EQ(a.has_value(), b.has_value()) << "op " << op;
       if (a.has_value()) {
         EXPECT_EQ(a->value, b->value);
@@ -240,15 +242,15 @@ TEST(DecodeMemo, ViewsAndStabilityCutsIdenticalAcrossTunings) {
     }
   }
   for (ClientId i = 1; i <= 3; ++i) {
-    EXPECT_EQ(delta.list(i), legacy.list(i)) << "reader " << i;
-    EXPECT_EQ(delta.cluster->client(i).stability_cut(),
-              legacy.cluster->client(i).stability_cut())
+    EXPECT_EQ(chunked.list(i), flat.list(i)) << "reader " << i;
+    EXPECT_EQ(chunked.cluster->client(i).stability_cut(),
+              flat.cluster->client(i).stability_cut())
         << "client " << i;
-    EXPECT_EQ(delta.cluster->client(i).fully_stable_timestamp(),
-              legacy.cluster->client(i).fully_stable_timestamp());
+    EXPECT_EQ(chunked.cluster->client(i).fully_stable_timestamp(),
+              flat.cluster->client(i).fully_stable_timestamp());
   }
-  EXPECT_GT(delta.client(1).decode_memo_hits() + delta.client(2).decode_memo_hits() +
-                delta.client(3).decode_memo_hits(),
+  EXPECT_GT(chunked.client(1).decode_memo_hits() + chunked.client(2).decode_memo_hits() +
+                chunked.client(3).decode_memo_hits(),
             0u)
       << "the comparison must actually exercise the memo path";
 }
@@ -261,7 +263,7 @@ TEST(DecodeMemoByzantine, TamperedPartitionUnderReusedVersionIsRejectedNotServed
   // check fails BEFORE the KV layer sees anything — the decode memo is
   // keyed only by verified digests, so it is neither consulted nor
   // polluted, and no stale or forged view is ever delivered.
-  Rig rig(41, kDelta, ustor::DigestMode::kChunked, /*n=*/3, /*with_server=*/false);
+  Rig rig(41, ustor::DigestMode::kChunked, /*n=*/3, /*with_server=*/false);
   // The victim (client 2) will fire on its 4th op: gets cost 3 reads, so
   // that is the first read of its SECOND get — after the memos are warm.
   adversary::TamperServer server(3, rig.cluster->net(), adversary::Tamper::kValueFreshSig,
@@ -288,7 +290,7 @@ TEST(DecodeMemoByzantine, StaleReplayUnderOldVersionIsRejectedNotServed) {
   // perfectly valid old DATA signature. The freshness checks (lines
   // 51–52) fire before the memo could replay the old decode — holding a
   // memoized copy of exactly that stale content must not weaken detection.
-  Rig rig(42, kDelta, ustor::DigestMode::kChunked, /*n=*/3, /*with_server=*/false);
+  Rig rig(42, ustor::DigestMode::kChunked, /*n=*/3, /*with_server=*/false);
   adversary::TamperServer server(3, rig.cluster->net(), adversary::Tamper::kStaleTimestamp,
                                  /*victim=*/2, /*fire_on_op=*/7);
 

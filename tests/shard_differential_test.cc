@@ -126,8 +126,7 @@ struct Model {
 
 /// The single-deployment oracle (the pre-sharding code path).
 struct OracleRig {
-  explicit OracleRig(std::uint64_t seed, kv::KvTuning tuning = {},
-                     ustor::DigestMode digest = ustor::DigestMode::kChunked) {
+  explicit OracleRig(std::uint64_t seed, ustor::DigestMode digest = ustor::DigestMode::kChunked) {
     ClusterConfig cfg;
     cfg.n = kClients;
     cfg.seed = seed;
@@ -136,7 +135,7 @@ struct OracleRig {
     cfg.faust.data_digest = digest;
     cluster = std::make_unique<Cluster>(cfg);
     for (ClientId i = 1; i <= kClients; ++i) {
-      kv.push_back(std::make_unique<kv::KvClient>(cluster->client(i), tuning));
+      kv.push_back(std::make_unique<kv::KvClient>(cluster->client(i)));
     }
   }
 
@@ -187,7 +186,7 @@ struct OracleRig {
 
 /// The system under test.
 struct ShardedRig {
-  ShardedRig(std::size_t shards, std::uint64_t seed, kv::KvTuning tuning = {},
+  ShardedRig(std::size_t shards, std::uint64_t seed,
              ustor::DigestMode digest = ustor::DigestMode::kChunked) {
     ShardedClusterConfig cfg;
     cfg.shards = shards;
@@ -198,7 +197,7 @@ struct ShardedRig {
     cfg.shard_template.faust.data_digest = digest;
     cluster = std::make_unique<ShardedCluster>(cfg);
     for (ClientId i = 1; i <= kClients; ++i) {
-      kv.push_back(std::make_unique<ShardedKvClient>(*cluster, i, tuning));
+      kv.push_back(std::make_unique<ShardedKvClient>(*cluster, i));
     }
   }
 
@@ -261,19 +260,17 @@ void expect_views_equal(const std::map<std::string, kv::KvEntry>& sharded,
   }
 }
 
-void run_differential_workload(std::size_t shards, std::uint64_t seed, kv::KvTuning tuning = {},
+void run_differential_workload(std::size_t shards, std::uint64_t seed,
                                ustor::DigestMode digest = ustor::DigestMode::kChunked) {
   SCOPED_TRACE(::testing::Message() << "S=" << shards << " seed=" << seed
-                                    << " incremental=" << tuning.incremental_encode
-                                    << " memo=" << tuning.decode_memo
                                     << " chunked=" << (digest == ustor::DigestMode::kChunked));
   constexpr int kOps = 48;
   constexpr int kCheckEvery = 12;
   constexpr int kKeyPool = 16;
 
   Rng rng(seed);
-  ShardedRig sharded(shards, seed, tuning, digest);
-  OracleRig oracle(seed ^ 0xdeadbeef, tuning, digest);  // independent timing, same ops
+  ShardedRig sharded(shards, seed, digest);
+  OracleRig oracle(seed ^ 0xdeadbeef, digest);  // independent timing, same ops
   Model model;
 
   for (int op = 1; op <= kOps; ++op) {
@@ -326,27 +323,26 @@ TEST(ShardDifferential, MergedViewsAgreeAcrossShardCountsAndSeeds) {
   }
 }
 
-TEST(ShardDifferential, LegacyFullReencodePathAgreesToo) {
-  // The O(change) machinery behind a knob: with incremental encoding,
-  // decode memos AND chunked digests all forced OFF, the same workloads
-  // must still agree with the oracle and the model — the knob selects a
-  // cost model, never semantics.
-  const kv::KvTuning legacy{/*incremental_encode=*/false, /*decode_memo=*/false};
+TEST(ShardDifferential, FlatDigestDeploymentAgreesToo) {
+  // The paper-literal flat digest over the full-value wire (no chunk
+  // trees, no delta SUBMIT/REPLY): the same workloads must still agree
+  // with the oracle and the model — the digest mode selects a cost
+  // model, never semantics.
   for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-    run_differential_workload(shards, 101, legacy, ustor::DigestMode::kFlat);
+    run_differential_workload(shards, 101, ustor::DigestMode::kFlat);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-TEST(ShardDifferential, DeltaAndLegacyModesProduceIdenticalViewsAndStability) {
+TEST(ShardDifferential, ChunkedAndFlatDeploymentsProduceIdenticalViewsAndStability) {
   // Replay ONE op stream through two sharded deployments with identical
-  // seeds, one on the delta paths and one forced legacy: merged views
-  // must match key-for-key and every shard's stability cut must advance
-  // identically (the knobs change neither message counts nor sizes, so
-  // even the virtual-time schedules coincide).
-  const kv::KvTuning legacy{false, false};
+  // seeds, one kChunked (delta wire) and one kFlat (full-value wire):
+  // merged views must match key-for-key and every shard's stability cut
+  // must advance identically (the digest mode changes message sizes, not
+  // message counts, and the delay draws are per message, so even the
+  // virtual-time schedules coincide).
   ShardedRig delta(2, 505);
-  ShardedRig forced(2, 505, legacy, ustor::DigestMode::kFlat);
+  ShardedRig forced(2, 505, ustor::DigestMode::kFlat);
   Rng rng(606);
   for (int op = 0; op < 30; ++op) {
     const ClientId who = static_cast<ClientId>(1 + rng.next_below(kClients));

@@ -449,7 +449,56 @@ TEST(ShardThreaded, MidOperationFailureSettlesInFlightOps) {
   EXPECT_FALSE(lr.complete);
   EXPECT_TRUE(lr.entries.contains(key1));
   EXPECT_FALSE(lr.entries.contains(key0));
+  // The fail hook settles the in-flight ops BEFORE it calls on_fail, so
+  // the three handlers above can fire before the flag is set.
+  ASSERT_TRUE(rig.cluster->await(failed_surfaced, 60s));
   EXPECT_TRUE(failed_surfaced.load());
+}
+
+TEST(ShardThreaded, OpsIssuedAfterStopSettleWithFailureOutcomes) {
+  // After stop() every shard runtime refuses posts, so no op body can
+  // run. Each handler must still fire exactly once with its failure
+  // outcome (at the latest when the client is destroyed), never be
+  // silently dropped. Everything below runs on this thread.
+  int puts = 0, erases = 0, gets = 0, lists = 0;
+  Timestamp put_ts = 77, erase_ts = 77;
+  ShardedGetResult gr;
+  ShardedListResult lr;
+  lr.complete = true;
+
+  ThreadedRig rig(2, /*seed=*/43);
+  rig.put(1, "k", "v");
+  if (::testing::Test::HasFatalFailure()) return;
+  rig.cluster->stop();
+
+  ShardedKvClient& kv = *rig.kv[0];
+  kv.put("k", "after-stop", [&](Timestamp t) {
+    ++puts;
+    put_ts = t;
+  });
+  kv.erase("k", [&](Timestamp t) {
+    ++erases;
+    erase_ts = t;
+  });
+  kv.get("k", [&](const ShardedGetResult& r) {
+    ++gets;
+    gr = r;
+  });
+  kv.list([&](const ShardedListResult& r) {
+    ++lists;
+    lr = r;
+  });
+  rig.kv[0].reset();
+
+  EXPECT_EQ(puts, 1);
+  EXPECT_EQ(put_ts, 0u);
+  EXPECT_EQ(erases, 1);
+  EXPECT_EQ(erase_ts, 0u);
+  EXPECT_EQ(gets, 1);
+  EXPECT_TRUE(gr.shard_failed);
+  EXPECT_EQ(gr.shard, rig.cluster->router().shard_of("k"));
+  EXPECT_EQ(lists, 1);
+  EXPECT_FALSE(lr.complete);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // The same seeded op script (puts, erases, gets, lists, and mixed batch
 // apply()s) is run through open_store() on three backends —
 //
-//   (a) a single FAUST deployment (kv::KvClient engine),
+//   (a) a single FAUST deployment (the same backend at S = 1),
 //   (b) a sharded deployment in deterministic mode,
 //   (c) a sharded deployment in threaded mode (one OS thread per shard)
 //
@@ -33,6 +33,7 @@
 #include "common/rng.h"
 #include "exec/executor.h"
 #include "faust/cluster.h"
+#include "rt/threaded_runtime.h"
 #include "shard/sharded_cluster.h"
 #include "ustor/server.h"
 
@@ -432,6 +433,54 @@ TEST(StoreApi, ThreadedDestructionSettlesInFlightTickets) {
   ASSERT_TRUE(list.ready());
   EXPECT_TRUE(put.result().failed);
   EXPECT_FALSE(list.result().complete) << "shard 0 never contributed";
+}
+
+TEST(StoreApi, StoreOverAThreadedClusterResolvesAndSettles) {
+  // A bare Cluster whose executor is a threaded runtime: open_store binds
+  // the one Store backend at S = 1, every op body runs on the runtime's
+  // thread and tickets resolve by blocking wait(). Destruction after
+  // stop() still settles an op the silenced server never answered.
+  rt::ThreadedRuntimeConfig rt_cfg;
+  rt_cfg.start_paused = true;  // no timer may fire into a half-built cluster
+  rt::ThreadedRuntime runtime(rt_cfg);
+  ClusterConfig cfg;
+  cfg.n = 2;
+  cfg.seed = 12;
+  cfg.executor = &runtime;
+  cfg.faust.dummy_read_period = 0;
+  cfg.faust.probe_check_period = 0;
+  Cluster cluster(cfg);
+  runtime.start();
+  auto writer = open_store(cluster, 1);
+  auto reader = open_store(cluster, 2);
+  EXPECT_EQ(writer->shards(), 1u);
+
+  const PutResult put = writer->put("k", "v").wait();
+  EXPECT_FALSE(put.failed);
+  EXPECT_GT(put.ts, 0u);
+  const GetResult got = reader->get("k").wait();
+  ASSERT_TRUE(got.entry.has_value());
+  EXPECT_EQ(got.entry->value, "v");
+  EXPECT_EQ(got.entry->writer, 1);
+  const ListResult all = reader->list().wait();
+  EXPECT_TRUE(all.complete);
+  EXPECT_EQ(all.entries.size(), 1u);
+  const BatchResult batch =
+      writer->apply({Op::put("k2", "v2"), Op::get("k2"), Op::list()}).wait();
+  ASSERT_TRUE(batch.ok);
+  ASSERT_EQ(batch.results.size(), 3u);
+  ASSERT_TRUE(batch.results[1].get.entry.has_value());
+  EXPECT_EQ(batch.results[1].get.entry->value, "v2");
+  EXPECT_EQ(batch.results[2].list.entries.size(), 2u);
+
+  // The fabric belongs to the runtime's thread: silence the server there.
+  ASSERT_TRUE(exec::post_sync(runtime, [&] { cluster.net().crash(kServerNode); }));
+  Ticket<PutResult> stuck = writer->put("k", "lost");
+  runtime.stop();
+  writer.reset();
+  ASSERT_TRUE(stuck.ready());
+  EXPECT_TRUE(stuck.result().failed);
+  EXPECT_EQ(stuck.result().ts, 0u);
 }
 
 // --- Events and stability ----------------------------------------------------

@@ -14,8 +14,9 @@
 //     mid-run completes correctly via a full re-read, without fail_i;
 //   * the Byzantine story — four delta-specific server lies are rejected,
 //     memos stay sound, and the victim recovers through the fallback;
-//   * the differential oracle — wire_deltas on vs off yields byte-
-//     identical merged views and stability cuts, single and sharded.
+//   * the differential oracle — the delta wire (kChunked) vs the
+//     full-value wire (kFlat) yields byte-identical merged views and
+//     stability cuts, single and sharded.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -37,8 +38,6 @@
 
 namespace faust::kv {
 namespace {
-
-constexpr KvTuning kDelta{true, true};
 
 constexpr auto kSubmitTag = static_cast<std::uint8_t>(ustor::MsgType::kSubmit);
 constexpr auto kSubmitDeltaTag = static_cast<std::uint8_t>(ustor::MsgType::kSubmitDelta);
@@ -67,19 +66,20 @@ const char* backend_name(Backend b) {
 }
 
 struct Rig {
-  explicit Rig(std::uint64_t seed, bool wire_deltas = true, int n = 3,
-               bool with_server = true, Backend backend = Backend::kMemory) {
+  /// `digest`: kChunked speaks the delta wire, kFlat the full-value wire.
+  explicit Rig(std::uint64_t seed, ustor::DigestMode digest = ustor::DigestMode::kChunked,
+               int n = 3, bool with_server = true, Backend backend = Backend::kMemory) {
     ClusterConfig cfg;
     cfg.n = n;
     cfg.seed = seed;
     cfg.faust.dummy_read_period = 0;
     cfg.faust.probe_check_period = 0;
-    cfg.faust.wire_deltas = wire_deltas;
+    cfg.faust.data_digest = digest;
     cfg.with_server = with_server;
     if (backend == Backend::kDurable) cfg.durability_dir = dir.path;
     cluster = std::make_unique<Cluster>(cfg);
     for (ClientId i = 1; i <= n; ++i) {
-      kv.push_back(std::make_unique<KvClient>(cluster->client(i), kDelta));
+      kv.push_back(std::make_unique<KvClient>(cluster->client(i)));
     }
   }
 
@@ -167,7 +167,7 @@ TEST(WireDelta, DeltaWritePathShipsSplicesAndVerifies) {
 TEST(WireDelta, NetworkCountersBucketizeByTagAndSumToTotal) {
   for (const Backend backend : {Backend::kMemory, Backend::kDurable}) {
     SCOPED_TRACE(backend_name(backend));
-    Rig rig(102, true, 3, true, backend);
+    Rig rig(102, ustor::DigestMode::kChunked, 3, true, backend);
     rig.put(1, "a", "1");
     rig.put(1, "a", "2");
     std::optional<KvEntry> e;
@@ -223,7 +223,7 @@ TEST(WireDelta, SubmitBytesPerPutTrackTheChangeNotTheKeyspace) {
 
 /// REPLY_DELTA bytes for one all-unchanged get after bulk-loading K keys.
 std::uint64_t unchanged_read_bytes(int k_keys, std::uint64_t seed, Backend backend) {
-  Rig rig(seed, true, 3, true, backend);
+  Rig rig(seed, ustor::DigestMode::kChunked, 3, true, backend);
   // Every writer holds a K/3-key partition, so the reader ends up with a
   // verified base for all three registers.
   for (ClientId w = 1; w <= 3; ++w) {
@@ -287,7 +287,7 @@ TEST(WireDelta, EvictedBaseMidRunFallsBackToFullRead) {
 class WireDeltaByzantineTest : public ::testing::TestWithParam<adversary::DeltaTamper> {};
 
 TEST_P(WireDeltaByzantineTest, LieIsRejectedMemosSoundFallbackRecovers) {
-  Rig rig(104, /*wire_deltas=*/true, /*n=*/3, /*with_server=*/false);
+  Rig rig(104, ustor::DigestMode::kChunked, /*n=*/3, /*with_server=*/false);
   adversary::DeltaTamperServer server(3, rig.cluster->net(), GetParam(),
                                       /*victim=*/2, /*fire_on_read=*/1);
 
@@ -329,15 +329,16 @@ INSTANTIATE_TEST_SUITE_P(AllLies, WireDeltaByzantineTest,
                            }
                          });
 
-// --- Differential oracle: deltas on vs off ---------------------------------
+// --- Differential oracle: delta wire (kChunked) vs full wire (kFlat) --------
 
 TEST(WireDeltaDifferential, ViewsAndStabilityCutsIdenticalWithDeltasOnAndOff) {
-  // Same seed, same ops, only the FaustConfig::wire_deltas knob differs:
-  // merged views AND stability cuts must match exactly. Message counts are
-  // identical in a fault-free run (advertised reads still cost one
-  // SUBMIT + one REPLY), so even the delay-model draws line up.
-  Rig on(77, /*wire_deltas=*/true);
-  Rig off(77, /*wire_deltas=*/false);
+  // Same seed, same ops, only FaustConfig::data_digest differs — kChunked
+  // speaks the delta wire, kFlat the full-value wire: merged views AND
+  // stability cuts must match exactly. Message counts are identical in a
+  // fault-free run (advertised reads still cost one SUBMIT + one REPLY),
+  // so even the delay-model draws line up.
+  Rig on(77, ustor::DigestMode::kChunked);
+  Rig off(77, ustor::DigestMode::kFlat);
   Rng rng(5);
   for (int op = 0; op < 60; ++op) {
     const ClientId who = static_cast<ClientId>(1 + rng.next_below(3));
@@ -382,20 +383,20 @@ TEST(WireDeltaDifferential, ViewsAndStabilityCutsIdenticalWithDeltasOnAndOff) {
 }
 
 TEST(WireDeltaDifferential, ShardedViewsIdenticalWithDeltasOnAndOff) {
-  const auto build = [](bool deltas) {
+  const auto build = [](ustor::DigestMode digest) {
     shard::ShardedClusterConfig cfg;
     cfg.shards = 3;
     cfg.seed = 88;
     cfg.shard_template.n = 3;
     cfg.shard_template.faust.dummy_read_period = 0;
     cfg.shard_template.faust.probe_check_period = 0;
-    cfg.shard_template.faust.wire_deltas = deltas;
+    cfg.shard_template.faust.data_digest = digest;
     return std::make_unique<shard::ShardedCluster>(cfg);
   };
   const auto run = [](shard::ShardedCluster& cluster) {
     std::vector<std::unique_ptr<shard::ShardedKvClient>> kvs;
     for (ClientId i = 1; i <= 3; ++i) {
-      kvs.push_back(std::make_unique<shard::ShardedKvClient>(cluster, i, kDelta));
+      kvs.push_back(std::make_unique<shard::ShardedKvClient>(cluster, i));
     }
     Rng rng(9);
     for (int op = 0; op < 40; ++op) {
@@ -418,8 +419,8 @@ TEST(WireDeltaDifferential, ShardedViewsIdenticalWithDeltasOnAndOff) {
     EXPECT_TRUE(cluster.drive(done, 2'000'000));
     return view;
   };
-  auto on = build(true);
-  auto off = build(false);
+  auto on = build(ustor::DigestMode::kChunked);
+  auto off = build(ustor::DigestMode::kFlat);
   const auto view_on = run(*on);
   const auto view_off = run(*off);
   EXPECT_FALSE(view_on.empty());
