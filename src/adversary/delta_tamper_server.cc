@@ -47,7 +47,7 @@ Bytes DeltaTamperServer::tampered(const ustor::ServerCore::Answer& a) const {
       break;
     case DeltaTamper::kSpliceBytes: {
       rd.read.unchanged = false;
-      if (a.serving == ustor::ServerCore::ReadServing::kDelta) {
+      if (a.serving == ustor::ReadServing::kDelta) {
         rd.read.new_size = a.plan.new_size;
         for (const auto& run : a.plan.runs) {
           rd.read.splices.insert(rd.read.splices.end(), run.begin(), run.end());

@@ -8,7 +8,17 @@ namespace faust::adversary {
 using cache::OutSection;
 using cache::SectionStatus;
 
+namespace {
+
+bool signed_section(const OutSection& s) {
+  return s.status == SectionStatus::kHit || s.status == SectionStatus::kUnchanged ||
+         s.status == SectionStatus::kDelta;
+}
+
+}  // namespace
+
 void EvilCacheNode::corrupt_reply(NodeId /*to*/, std::vector<OutSection>& sections) {
+  forged_.clear();
   switch (mode_) {
     case Mode::kHonest:
     case Mode::kStaleBeyondTtl:
@@ -25,15 +35,14 @@ void EvilCacheNode::corrupt_reply(NodeId /*to*/, std::vector<OutSection>& sectio
       return;
     case Mode::kForgeDigest:
       for (OutSection& s : sections) {
-        if (s.status != SectionStatus::kHit && s.status != SectionStatus::kUnchanged) continue;
+        if (!signed_section(s)) continue;
         s.digest[0] ^= 0x01;
         ++corruptions_;
       }
       return;
     case Mode::kForgeSig:
       for (OutSection& s : sections) {
-        if (s.status != SectionStatus::kHit && s.status != SectionStatus::kUnchanged) continue;
-        if (s.sig.empty()) continue;
+        if (!signed_section(s) || s.sig.empty()) continue;
         s.sig[0] ^= 0x01;
         ++corruptions_;
       }
@@ -54,6 +63,28 @@ void EvilCacheNode::corrupt_reply(NodeId /*to*/, std::vector<OutSection>& sectio
         if (s.status != SectionStatus::kHit) continue;
         s.status = SectionStatus::kUnchanged;
         s.value.reset();
+        ++corruptions_;
+      }
+      return;
+    case Mode::kTamperSplice:
+      // The runs borrow the honest history: serve a tampered copy instead.
+      for (OutSection& s : sections) {
+        if (s.status != SectionStatus::kDelta) continue;
+        std::vector<ustor::Splice>& copy = forged_.emplace_back();
+        for (const auto& run : s.delta.runs) copy.insert(copy.end(), run.begin(), run.end());
+        for (ustor::Splice& sp : copy) {
+          if (sp.insert.empty()) continue;
+          sp.insert[sp.insert.size() / 2] ^= 0x01;
+          ++corruptions_;
+          break;
+        }
+        s.delta.runs.assign(1, std::span<const ustor::Splice>(copy));
+      }
+      return;
+    case Mode::kForgeBase:
+      for (OutSection& s : sections) {
+        if (s.status != SectionStatus::kDelta) continue;
+        s.delta.runs.erase(s.delta.runs.begin());
         ++corruptions_;
       }
       return;

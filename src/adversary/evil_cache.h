@@ -6,9 +6,10 @@
 // node's adversary seams; the client-side outcome each must produce is
 // pinned by tests/cache_byzantine_test.cc:
 //
-//   * corrupted values / forged digests / forged signatures → the client
-//     REJECTS the section and falls back to the home shard (never a
-//     wrong value, and never a condemned shard — the cache is not a
+//   * corrupted values or splices / forged digests / forged signatures /
+//     splice runs planned from a base other than the advertised one → the
+//     client REJECTS the section and falls back to the home shard (never
+//     a wrong value, and never a condemned shard — the cache is not a
 //     protocol party, so no fail_i);
 //   * bogus negatives ("X_j was never written") → rejected whenever the
 //     client's own verified knowledge refutes them (registers never
@@ -23,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "cache/cache_node.h"
 
@@ -35,9 +37,10 @@ class EvilCacheNode : public cache::CacheNode {
     kHonest = 0,
     /// Flips a byte of every served value (digest recompute fails).
     kTamperValue,
-    /// Flips a byte of every served digest (signature check fails).
+    /// Flips a byte of every served digest, full or delta (signature
+    /// check fails).
     kForgeDigest,
-    /// Flips a byte of every served DATA signature.
+    /// Flips a byte of every served DATA signature, full or delta.
     kForgeSig,
     /// Claims every register unwritten, whatever is cached.
     kBogusNegative,
@@ -47,6 +50,12 @@ class EvilCacheNode : public cache::CacheNode {
     kStaleBeyondTtl,
     /// Silently drops every CACHE_FILL (cache degrades to a miss machine).
     kFreezeFills,
+    /// Flips a byte of a splice insert in every delta section.
+    kTamperSplice,
+    /// Serves every delta section's runs from the base one record newer
+    /// than the advertised one (drops the first run), still echoing the
+    /// advertised base.
+    kForgeBase,
   };
 
   EvilCacheNode(NodeId self, net::Transport& net, exec::Executor& exec, int n,
@@ -66,6 +75,8 @@ class EvilCacheNode : public cache::CacheNode {
  private:
   const Mode mode_;
   std::uint64_t corruptions_ = 0;
+  /// kTamperSplice: the tampered runs of the reply being built.
+  std::vector<std::vector<ustor::Splice>> forged_;
 };
 
 }  // namespace faust::adversary

@@ -112,6 +112,36 @@ CacheClient::Section CacheClient::verify_section(ClientId j, const ReplySectionV
       out.as_of = raw.as_of;
       return out;
     }
+    case SectionStatus::kDelta: {
+      // Splice runs from the base we advertised: rebuild the value from
+      // our own bytes of that base, then check it exactly like a full
+      // hit — the check a shard REPLY_DELTA goes through.
+      if (!base.present || !base.bytes || raw.base != base.digest || raw.writer_ts == 0) {
+        ++rejected_;
+        out.outcome = Outcome::kRejected;
+        return out;
+      }
+      const Bytes held = base.bytes();
+      auto value = ustor::apply_delta(BytesView(held), raw.splices, raw.new_size);
+      const crypto::Hash digest =
+          value.has_value()
+              ? ustor::value_digest(digest_mode_, std::optional<BytesView>(BytesView(*value)))
+              : crypto::Hash{};
+      if (!value.has_value() || digest != raw.digest ||
+          !sigs_->verify(j, ustor::data_payload(raw.writer_ts, digest), raw.sig)) {
+        ++rejected_;
+        out.outcome = Outcome::kRejected;
+        return out;
+      }
+      ++delta_;
+      out.outcome = Outcome::kServed;
+      out.writer_ts = raw.writer_ts;
+      out.digest = digest;
+      out.rebuilt = std::make_shared<const Bytes>(std::move(*value));
+      out.value = BytesView(*out.rebuilt);
+      out.as_of = raw.as_of;
+      return out;
+    }
     case SectionStatus::kHit: {
       // Full tuple: recompute the digest of the served bytes under the
       // deployment's mode and check the writer's DATA signature over it —
@@ -173,6 +203,9 @@ void CacheClient::on_message(NodeId from, BytesView msg) {
     r.sections[slot] = verify_section(static_cast<ClientId>(slot + 1),
                                       reply->sections[slot], p.bases[slot]);
   }
+  // The bases pin the caller's base content (Base::bytes); release it
+  // before the caller replaces that content with what was just served.
+  p.bases.clear();
   p.done(r);
 }
 

@@ -12,8 +12,18 @@
 // client advertised from its own verified decode memo) costs one memoized
 // signature check and ships no bytes at all.
 //
+// A kDelta section (splice runs against the advertised base) gets the
+// REPLY_DELTA check: the echoed base must be the advertised one, the runs
+// must apply to the base's bytes, and the rebuilt value must rehash to the
+// section's digest under the writer's DATA signature. The base bytes come
+// from the caller (Base::bytes, which the KV layer answers by re-encoding
+// the decoded memo the base was advertised from), so no client keeps a
+// second copy of a partition. Any failure is kRejected — a per-register
+// fallback, never fault evidence (the D6 rule).
+//
 // What a Byzantine cache can and cannot do through this filter:
-//   * tampered value bytes / forged digests / forged signatures — the
+//   * tampered value bytes or splices / forged digests / forged
+//     signatures / runs from a base other than the advertised one — the
 //     recomputed digest or the signature check fails: section REJECTED,
 //     caller falls back to the home shard;
 //   * a false "unchanged" claim for content that moved on — the shipped
@@ -64,6 +74,8 @@ class CacheClient : public net::Node {
     crypto::Hash digest{};  // verified digest (kServed / kUnchanged)
     BytesView value;        // kServed only; valid during the callback
     Timestamp as_of = 0;    // freshness horizon (advisory, see file comment)
+    /// kServed from a kDelta section: owns the rebuilt value `value` views.
+    std::shared_ptr<const Bytes> rebuilt;
   };
 
   struct Result {
@@ -76,11 +88,13 @@ class CacheClient : public net::Node {
   using LookupHandler = std::function<void(const Result&)>;
 
   /// What the caller already holds verified for X_j: present=true
-  /// advertises `digest` (enabling kUnchanged AND arming the
-  /// bogus-negative rejection).
+  /// advertises `digest` (enabling kUnchanged and kDelta, AND arming the
+  /// bogus-negative rejection). `bytes` yields the content `digest` was
+  /// verified over; only a kDelta section calls it.
   struct Base {
     bool present = false;
     crypto::Hash digest{};
+    std::function<Bytes()> bytes;
   };
 
   /// Attaches to `net` under cache_endpoint(id); talks to `cache_node`.
@@ -114,6 +128,8 @@ class CacheClient : public net::Node {
   // --- Counters ---------------------------------------------------------
   std::uint64_t lookups_sent() const { return lookups_sent_; }
   std::uint64_t sections_served() const { return served_; }
+  /// kServed sections rebuilt from verified splice runs (not in served).
+  std::uint64_t sections_delta() const { return delta_; }
   std::uint64_t sections_unchanged() const { return unchanged_; }
   std::uint64_t sections_negative() const { return negative_; }
   std::uint64_t sections_missed() const { return missed_; }
@@ -150,6 +166,7 @@ class CacheClient : public net::Node {
 
   std::uint64_t lookups_sent_ = 0;
   std::uint64_t served_ = 0;
+  std::uint64_t delta_ = 0;
   std::uint64_t unchanged_ = 0;
   std::uint64_t negative_ = 0;
   std::uint64_t missed_ = 0;

@@ -97,6 +97,11 @@ void CacheNode::handle_get(NodeId from, const GetMessage& m) {
     if (base.has_value() && *base == e->digest) {
       ++unchanged_;
       out.status = SectionStatus::kUnchanged;
+    } else if (base.has_value() &&
+               e->history.plan(e->digest, e->value->size(), *base, &out.delta) ==
+                   ustor::ReadServing::kDelta) {
+      ++delta_hits_;
+      out.status = SectionStatus::kDelta;
     } else {
       ++hits_;
       out.status = SectionStatus::kHit;
@@ -148,24 +153,41 @@ void CacheNode::handle_fill(const FillMessageView& m) {
       e = std::move(fresh);
       continue;
     }
+    if (s.delta) {
+      handle_delta_fill(s, e);
+      continue;
+    }
     if (e.has_value() && e->present) {
       if (s.writer_ts < e->writer_ts) {
         ++fills_rejected_;  // an older (delayed) fill never regresses
         continue;
       }
       if (s.writer_ts == e->writer_ts) {
-        if (s.digest == e->digest) {
-          // Re-observation of the held content: refresh TTL + freshness.
-          e->filled_at = exec_.now();
-          e->as_of = std::max(e->as_of, s.as_of);
-          e->last_used = ++lru_clock_;
-          ++fills_refreshed_;
-        } else {
+        if (s.digest != e->digest || s.value.size() > opts_.arena_bytes) {
           // Conflicting content at the same timestamp: unverifiable from
-          // here. Keep what we have; TTL expiry washes the slot either
-          // way, and readers reject whichever side fails verification.
+          // here. Keep what we have; readers reject whichever side fails
+          // verification.
           ++fills_rejected_;
+          continue;
         }
+        // Re-observation of the held content: refresh TTL + freshness.
+        // Honest fills of one (writer_ts, digest) carry identical bytes,
+        // so different ones mean a side was tampered with, and the held
+        // side is the one some reader may just have rejected: take the
+        // fill's bytes, and drop the history chained onto the old ones.
+        if (!std::equal(s.value.begin(), s.value.end(), e->value->begin(), e->value->end())) {
+          arena_used_ -= e->charge();
+          e->value = std::make_shared<const Bytes>(s.value.begin(), s.value.end());
+          e->history.clear();
+          arena_used_ += e->charge();
+          ++fills_replaced_;
+        } else {
+          ++fills_refreshed_;
+        }
+        e->filled_at = exec_.now();
+        e->as_of = std::max(e->as_of, s.as_of);
+        e->last_used = ++lru_clock_;
+        enforce_arena();
         continue;
       }
     }
@@ -188,6 +210,46 @@ void CacheNode::handle_fill(const FillMessageView& m) {
     ++fills_accepted_;
     enforce_arena();
   }
+}
+
+void CacheNode::handle_delta_fill(const FillSectionView& s, std::optional<Entry>& e) {
+  const bool present = e.has_value() && e->present;
+  if (present && s.writer_ts <= e->writer_ts) {
+    ++fills_rejected_;  // an older (delayed) fill never regresses
+    return;
+  }
+  if (present && e->digest == s.base) {
+    auto value = ustor::apply_delta(BytesView(*e->value), s.splices, s.new_size);
+    if (!value.has_value() || value->size() > opts_.arena_bytes) {
+      ++fills_rejected_;  // out-of-bounds splices: the slot stays as it was
+      return;
+    }
+    arena_used_ -= e->charge();
+    e->history.append(e->digest,
+                      ustor::DeltaRecord::copy_of(s.base, s.digest, s.new_size, s.splices));
+    e->writer_ts = s.writer_ts;
+    e->digest = s.digest;
+    e->sig.assign(s.sig.begin(), s.sig.end());
+    e->value = std::make_shared<const Bytes>(std::move(*value));
+    e->as_of = s.as_of;
+    e->filled_at = exec_.now();
+    e->last_used = ++lru_clock_;
+    arena_used_ += e->charge();
+    ++fills_accepted_;
+    ++delta_fills_;
+    enforce_arena();
+    return;
+  }
+  if (!e.has_value()) {
+    ++fills_rejected_;  // nothing to carry forward
+    return;
+  }
+  // A newer write the slot cannot be carried to (it holds another digest,
+  // or a negative): what it holds is stale. Drop it; the next lookup
+  // misses, and the engine read behind that miss refills the slot in full.
+  arena_used_ -= e->charge();
+  e.reset();
+  ++slots_dropped_;
 }
 
 void CacheNode::enforce_arena() {

@@ -12,22 +12,37 @@
 //
 // Storage model (dnscache.c lineage, adapted to partition granularity):
 //   * one entry per writer register X_j: (writer_ts, digest, DATA sig,
-//     partition bytes, as_of) — or a NEGATIVE entry recording that the
-//     filler observed X_j unwritten (⊥);
+//     partition bytes, as_of, splice history) — or a NEGATIVE entry
+//     recording that the filler observed X_j unwritten (⊥);
 //   * TTL-bounded: an entry older than `ttl` ticks (executor time) is a
 //     miss and is dropped — the bound on how stale a lost or delayed
 //     fill can leave the cache;
-//   * LRU over a bounded byte arena: present entries' value bytes count
-//     against `arena_bytes`; inserting past the bound evicts
+//   * LRU over a bounded byte arena: present entries' value and history
+//     bytes count against `arena_bytes`; inserting past the bound evicts
 //     least-recently-served entries first.
 //
 // Fill acceptance is monotone per writer: a present tuple with a larger
-// writer_ts replaces anything; an equal-writer_ts/equal-digest re-fill
-// only refreshes the TTL and freshness stamp; a negative never displaces
-// a present entry (registers go ⊥ → written, never back). The cache
-// cannot adjudicate conflicting fills at the same writer_ts (it verifies
-// nothing) — it keeps what it has and lets TTL expiry wash a poisoned
-// slot out; clients reject and fall back in the meantime.
+// writer_ts replaces anything; a negative never displaces a present
+// entry (registers go ⊥ → written, never back). An equal-writer_ts,
+// equal-digest re-fill refreshes the TTL and freshness stamp, and when
+// its bytes differ from the held ones it replaces them and drops the
+// history: the cache cannot tell which side is authentic (it verifies
+// nothing), honest fills of one (writer_ts, digest) carry identical
+// bytes, and the read-through fill that follows a reader's rejection is
+// exactly how a poisoned slot heals. Conflicting digests at one
+// writer_ts are refused; readers reject whichever side fails
+// verification.
+//
+// Delta tier (D6 applied to the cache): a writer's push fill after a
+// SUBMIT_DELTA carries that message's base root and splices. The node
+// applies it only to a slot present at that base, and only with a newer
+// writer_ts, appending the record to the slot's ustor::DeltaHistory (the
+// servers' chain rule and planner). A newer delta fill that finds the
+// slot anywhere else proves the slot stale: the node drops it, the next
+// lookup misses, and the engine read behind it re-seeds the slot in
+// full. A lookup whose advertised base the history reaches is answered
+// with a kDelta section of splice runs; a base the history does not reach,
+// or runs no smaller than the value, get a full hit.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +53,7 @@
 #include "cache/cache_wire.h"
 #include "exec/executor.h"
 #include "net/transport.h"
+#include "ustor/delta_history.h"
 
 namespace faust::cache {
 
@@ -79,6 +95,7 @@ class CacheNode : public net::Node {
   std::uint64_t lookups() const { return lookups_; }          // CACHE_GETs served
   std::uint64_t hits() const { return hits_; }                // sections: full value
   std::uint64_t unchanged_hits() const { return unchanged_; } // sections: O(1) token
+  std::uint64_t delta_hits() const { return delta_hits_; }    // sections: splice runs
   std::uint64_t negatives_served() const { return negatives_served_; }
   std::uint64_t misses() const { return misses_; }            // sections: nothing held
   std::uint64_t expirations() const { return expirations_; }  // TTL drops
@@ -86,11 +103,17 @@ class CacheNode : public net::Node {
   std::uint64_t fills_accepted() const { return fills_accepted_; }
   std::uint64_t fills_refreshed() const { return fills_refreshed_; }
   std::uint64_t fills_rejected() const { return fills_rejected_; }
+  /// Delta fills applied to a slot at their base (also fills_accepted).
+  std::uint64_t delta_fills() const { return delta_fills_; }
+  /// Newer delta fills a slot could not take: each dropped the slot.
+  std::uint64_t slots_dropped() const { return slots_dropped_; }
+  /// Equal-(writer_ts, digest) fills whose bytes replaced the held ones.
+  std::uint64_t fills_replaced() const { return fills_replaced_; }
   std::uint64_t malformed() const { return malformed_; }
   /// Sections served from an EXPIRED entry to an allow_stale lookup
   /// (D10 degraded reads; always truthfully bounded by as_of).
   std::uint64_t stale_served() const { return stale_served_; }
-  /// Bytes of partition values currently held against the arena budget.
+  /// Bytes of partition values and histories held against the arena.
   std::size_t arena_used() const { return arena_used_; }
   /// True iff a (present or negative) unexpired entry exists for X_j.
   bool holds(ClientId j) const;
@@ -102,11 +125,12 @@ class CacheNode : public net::Node {
     crypto::Hash digest{};
     Bytes sig;
     std::shared_ptr<const Bytes> value;  // present only
+    ustor::DeltaHistory history;         // delta fills applied since the last full one
     Timestamp as_of = 0;
     exec::Time filled_at = 0;
     std::uint64_t last_used = 0;  // logical LRU clock
 
-    std::size_t charge() const { return value ? value->size() : 0; }
+    std::size_t charge() const { return (value ? value->size() : 0) + history.bytes(); }
   };
 
   /// Adversary seam: a Byzantine cache subclass distorts the fully built
@@ -128,6 +152,9 @@ class CacheNode : public net::Node {
  private:
   void handle_get(NodeId from, const GetMessage& m);
   void handle_fill(const FillMessageView& m);
+  /// A delta fill for slot `e` (already expiry-checked): applies it at its
+  /// base, or drops the slot a newer write left behind.
+  void handle_delta_fill(const FillSectionView& s, std::optional<Entry>& e);
   /// Evicts least-recently-used present entries until the arena fits.
   void enforce_arena();
 
@@ -143,6 +170,7 @@ class CacheNode : public net::Node {
   std::uint64_t lookups_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t unchanged_ = 0;
+  std::uint64_t delta_hits_ = 0;
   std::uint64_t negatives_served_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t expirations_ = 0;
@@ -150,6 +178,9 @@ class CacheNode : public net::Node {
   std::uint64_t fills_accepted_ = 0;
   std::uint64_t fills_refreshed_ = 0;
   std::uint64_t fills_rejected_ = 0;
+  std::uint64_t delta_fills_ = 0;
+  std::uint64_t slots_dropped_ = 0;
+  std::uint64_t fills_replaced_ = 0;
   std::uint64_t malformed_ = 0;
   std::uint64_t stale_served_ = 0;
 };

@@ -23,6 +23,11 @@ bool get_hash(wire::Reader& r, crypto::Hash& out) {
   return true;
 }
 
+// Wire forms of a CACHE_FILL section (the byte after the writer id).
+constexpr std::uint8_t kFillNegative = 0;
+constexpr std::uint8_t kFillFull = 1;
+constexpr std::uint8_t kFillDelta = 2;
+
 }  // namespace
 
 Bytes encode_get(const GetMessage& m) {
@@ -76,6 +81,10 @@ Bytes encode_reply(std::uint64_t req_id, const std::vector<OutSection>& sections
       case SectionStatus::kUnchanged:
         hint += 8 + sizeof(crypto::Hash) + 4 + s.sig.size() + 8;
         break;
+      case SectionStatus::kDelta:
+        hint += 8 + 2 * sizeof(crypto::Hash) + 4 + s.sig.size() + 8 +
+                ustor::splice_list_size(s.delta.runs) + 8;
+        break;
       case SectionStatus::kNegative:
         hint += 8;
         break;
@@ -103,6 +112,15 @@ Bytes encode_reply(std::uint64_t req_id, const std::vector<OutSection>& sections
         w.put_bytes(BytesView(s.sig));
         w.put_u64(s.as_of);
         break;
+      case SectionStatus::kDelta:
+        w.put_u64(s.writer_ts);
+        put_hash(w, s.digest);
+        w.put_bytes(BytesView(s.sig));
+        put_hash(w, s.delta.base_digest);
+        w.put_u64(s.delta.new_size);
+        ustor::put_splice_list(w, s.delta.runs);
+        w.put_u64(s.as_of);
+        break;
       case SectionStatus::kNegative:
         w.put_u64(s.as_of);
         break;
@@ -124,7 +142,7 @@ std::optional<ReplyMessageView> decode_reply_view(BytesView data) {
   for (std::uint32_t k = 0; k < count && r.ok(); ++k) {
     ReplySectionView& s = m.sections[k];
     const std::uint8_t status = r.get_u8();
-    if (status > static_cast<std::uint8_t>(SectionStatus::kNegative)) return std::nullopt;
+    if (status > static_cast<std::uint8_t>(SectionStatus::kDelta)) return std::nullopt;
     s.status = static_cast<SectionStatus>(status);
     switch (s.status) {
       case SectionStatus::kHit:
@@ -144,6 +162,15 @@ std::optional<ReplyMessageView> decode_reply_view(BytesView data) {
         s.as_of = r.get_u64();
         if (wire::Reader::is_error(s.sig)) return std::nullopt;
         break;
+      case SectionStatus::kDelta:
+        s.writer_ts = r.get_u64();
+        if (!get_hash(r, s.digest)) return std::nullopt;
+        s.sig = r.get_bytes_view();
+        if (wire::Reader::is_error(s.sig) || !get_hash(r, s.base)) return std::nullopt;
+        s.new_size = r.get_u64();
+        if (!ustor::get_splice_list(r, &s.splices)) return std::nullopt;
+        s.as_of = r.get_u64();
+        break;
       case SectionStatus::kNegative:
         s.as_of = r.get_u64();
         break;
@@ -159,19 +186,31 @@ Bytes encode_fill(const std::vector<FillSection>& sections) {
   std::size_t hint = 1 + 4;
   for (const FillSection& s : sections) {
     hint += 4 + 1 + 8;
-    if (s.present) hint += 8 + sizeof(crypto::Hash) + 4 + s.sig.size() + 4 + s.value.size();
+    if (!s.present) continue;
+    hint += 8 + sizeof(crypto::Hash) + 4 + s.sig.size();
+    if (s.delta) {
+      hint += sizeof(crypto::Hash) + 8 + ustor::splice_list_size(s.splices);
+    } else {
+      hint += 4 + s.value.size();
+    }
   }
   wire::Writer w(hint);
   w.put_u8(static_cast<std::uint8_t>(MsgType::kFill));
   w.put_u32(static_cast<std::uint32_t>(sections.size()));
   for (const FillSection& s : sections) {
     w.put_u32(static_cast<std::uint32_t>(s.writer));
-    w.put_u8(s.present ? 1 : 0);
+    w.put_u8(!s.present ? kFillNegative : s.delta ? kFillDelta : kFillFull);
     if (s.present) {
       w.put_u64(s.writer_ts);
       put_hash(w, s.digest);
       w.put_bytes(BytesView(s.sig));
-      w.put_bytes(BytesView(s.value));
+      if (s.delta) {
+        put_hash(w, s.base);
+        w.put_u64(s.new_size);
+        ustor::put_splice_list(w, s.splices);
+      } else {
+        w.put_bytes(BytesView(s.value));
+      }
     }
     w.put_u64(s.as_of);
   }
@@ -190,16 +229,22 @@ std::optional<FillMessageView> decode_fill_view(BytesView data) {
     const std::uint32_t writer = r.get_u32();
     if (writer == 0 || writer > kMaxSections) return std::nullopt;
     s.writer = static_cast<ClientId>(writer);
-    const std::uint8_t present = r.get_u8();
-    if (present > 1) return std::nullopt;
-    s.present = present == 1;
+    const std::uint8_t form = r.get_u8();
+    if (form > kFillDelta) return std::nullopt;
+    s.present = form != kFillNegative;
+    s.delta = form == kFillDelta;
     if (s.present) {
       s.writer_ts = r.get_u64();
       if (!get_hash(r, s.digest)) return std::nullopt;
       s.sig = r.get_bytes_view();
-      s.value = r.get_bytes_view();
-      if (wire::Reader::is_error(s.sig) || wire::Reader::is_error(s.value)) {
-        return std::nullopt;
+      if (wire::Reader::is_error(s.sig)) return std::nullopt;
+      if (s.delta) {
+        if (!get_hash(r, s.base)) return std::nullopt;
+        s.new_size = r.get_u64();
+        if (!ustor::get_splice_list(r, &s.splices)) return std::nullopt;
+      } else {
+        s.value = r.get_bytes_view();
+        if (wire::Reader::is_error(s.value)) return std::nullopt;
       }
     }
     s.as_of = r.get_u64();

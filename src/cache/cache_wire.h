@@ -12,13 +12,22 @@
 //   CACHE_REPLY cache → client   one section per register: a full hit
 //                                (value bytes), an O(1) "unchanged" token
 //                                (digest matched the advertised base, no
-//                                bytes), a negative entry (the cache
-//                                believes the register was never written),
-//                                or a miss;
+//                                bytes), a delta (splice runs that carry
+//                                the advertised base to the held value),
+//                                a negative entry (the cache believes the
+//                                register was never written), or a miss;
 //   CACHE_FILL  client → cache   verified read-through / writer push
 //                                fills: (writer_ts, digest, DATA
 //                                signature, value) tuples the cache may
-//                                store and re-serve. Fire-and-forget.
+//                                store and re-serve, or — a writer's push
+//                                after a SUBMIT_DELTA — the same tuple with
+//                                that SUBMIT_DELTA's base root and splices
+//                                in place of the value. Fire-and-forget.
+//
+// Both delta forms speak the D6 splice wire (ustor::put_splice_list /
+// get_splice_list): a delta fill ships exactly the splices the writer's
+// SUBMIT_DELTA did, and a delta section concatenates the runs the node's
+// ustor::DeltaHistory plans from the reader's advertised base.
 //
 // Trust model: the cache verifies NOTHING (it holds no keys) and clients
 // trust NOTHING the cache says — every served section is re-verified
@@ -35,6 +44,7 @@
 #include "common/bytes.h"
 #include "common/ids.h"
 #include "crypto/sha256.h"
+#include "ustor/messages.h"
 
 namespace faust::cache {
 
@@ -58,6 +68,7 @@ enum class SectionStatus : std::uint8_t {
   kHit = 1,        // full (writer_ts, digest, sig, value) tuple
   kUnchanged = 2,  // digest equals the advertised base; no bytes shipped
   kNegative = 3,   // cache believes the register was never written
+  kDelta = 4,      // splice runs from the advertised base to the held value
 };
 
 /// CACHE_GET: one lookup covering registers 1..n.
@@ -78,10 +89,13 @@ struct GetMessage {
 /// message buffer; valid only during the on_message call).
 struct ReplySectionView {
   SectionStatus status = SectionStatus::kMiss;
-  Timestamp writer_ts = 0;   // hit/unchanged
-  crypto::Hash digest{};     // hit: x̄ of value; unchanged: echoed base
-  BytesView sig;             // hit/unchanged: writer's DATA signature
+  Timestamp writer_ts = 0;   // hit/unchanged/delta
+  crypto::Hash digest{};     // hit/delta: x̄ of the value; unchanged: echoed base
+  BytesView sig;             // hit/unchanged/delta: writer's DATA signature
   BytesView value;           // hit only: the partition bytes
+  crypto::Hash base{};       // delta: the advertised base, echoed
+  std::uint64_t new_size = 0;             // delta: size of the rebuilt value
+  std::vector<ustor::SpliceView> splices; // delta: the runs, concatenated
   /// FAUST timestamp of the observing read (or write) the filler verified
   /// this content at — the freshness horizon a cached read surfaces.
   /// Advisory: an untrusted cache can lie here, which makes the data at
@@ -94,8 +108,10 @@ struct ReplyMessageView {
   std::vector<ReplySectionView> sections;  // [j-1]
 };
 
-/// One register's tuple in a CACHE_FILL (and the owned form the cache
-/// node builds replies from).
+/// One register's tuple in a CACHE_FILL. A present fill carries either
+/// the whole value or, when `delta` is set, the splices that carry the
+/// value whose root is `base` to the one whose root is `digest` (of
+/// `new_size` bytes); `value` then stays empty.
 struct FillSection {
   ClientId writer = 0;
   bool present = false;  // false = negative entry (register never written)
@@ -104,6 +120,10 @@ struct FillSection {
   Bytes sig;
   Bytes value;
   Timestamp as_of = 0;
+  bool delta = false;
+  crypto::Hash base{};
+  std::uint64_t new_size = 0;
+  std::vector<ustor::Splice> splices;
 };
 
 struct FillSectionView {
@@ -114,6 +134,10 @@ struct FillSectionView {
   BytesView sig;
   BytesView value;
   Timestamp as_of = 0;
+  bool delta = false;
+  crypto::Hash base{};
+  std::uint64_t new_size = 0;
+  std::vector<ustor::SpliceView> splices;
 };
 
 struct FillMessageView {
@@ -129,6 +153,9 @@ struct OutSection {
   Bytes sig;
   std::shared_ptr<const Bytes> value;  // hit only
   Timestamp as_of = 0;
+  /// Delta only: the echoed base (base_digest), the value's size and the
+  /// runs, which borrow the node's history until encode_reply returns.
+  ustor::ReadDeltaPlan delta;
 };
 
 Bytes encode_get(const GetMessage& m);

@@ -280,27 +280,45 @@ void KvClient::publish(PutHandler done) {
   std::optional<crypto::Hash> digest;
   if (chunked()) digest = enc_hasher_.root();
 
+  // D6: ship the logged splices instead of the encoding when that is
+  // actually smaller. The first publication is always full (it seeds the
+  // server's base and the verifiers' chunk trees); after that, per-op
+  // bytes track the change set.
+  bool delta = false;
+  if (digest.has_value() && published_ > 0 && splice_log_valid_ && !pending_splices_.empty()) {
+    std::size_t delta_bytes = 0;
+    for (const ustor::Splice& s : pending_splices_) delta_bytes += 20 + s.insert.size();
+    delta = delta_bytes < enc_->size();
+  }
+
   // D8 writer push fill: once the register write completes, hand the
   // cache this publication's self-certifying tuple — the exact wire δ
-  // (faust_.last_write_sig()) over the exact published bytes (the shared
-  // encoding, pinned by the captured shared_ptr: a later splice clones
-  // before mutating while it is still referenced). Wrapping `done` keeps
-  // every publish path (delta and full) covered.
+  // (faust_.last_write_sig()) over the published content, in the
+  // publication's own form. A delta publication's fill carries its
+  // SUBMIT_DELTA body (base root, splices, new root and size); a full
+  // one carries the published bytes (the shared encoding, pinned by the
+  // captured shared_ptr: a later splice clones before mutating while it is
+  // still referenced).
   if (cache_ != nullptr) {
-    const crypto::Hash fill_digest =
-        digest.has_value()
-            ? *digest
-            : ustor::value_digest(ustor::DigestMode::kFlat, BytesView(*enc_));
-    done = [this, enc = enc_, fill_digest, done = std::move(done)](Timestamp t) {
+    cache::FillSection fill;
+    fill.writer = faust_.id();
+    fill.present = true;
+    fill.digest = digest.has_value()
+                      ? *digest
+                      : ustor::value_digest(ustor::DigestMode::kFlat, BytesView(*enc_));
+    fill.delta = delta;
+    if (delta) {
+      fill.base = last_pub_root_;
+      fill.new_size = enc_->size();
+      fill.splices = pending_splices_;
+    }
+    done = [this, enc = delta ? nullptr : enc_, fill = std::move(fill),
+            done = std::move(done)](Timestamp t) mutable {
       if (t != 0 && cache_ != nullptr) {
-        cache::FillSection fill;
-        fill.writer = faust_.id();
-        fill.present = true;
         fill.writer_ts = t;
-        fill.digest = fill_digest;
         const BytesView sig = faust_.last_write_sig();
         fill.sig.assign(sig.begin(), sig.end());
-        fill.value = *enc;
+        if (enc) fill.value = *enc;
         fill.as_of = t;
         ++cache_push_fills_;
         std::vector<cache::FillSection> fills;
@@ -311,27 +329,19 @@ void KvClient::publish(PutHandler done) {
     };
   }
 
-  // D6: ship the logged splices instead of the encoding when that is
-  // actually smaller. The first publication is always full (it seeds the
-  // server's base and the verifiers' chunk trees); after that, per-op
-  // bytes track the change set.
-  if (digest.has_value() && published_ > 0 && splice_log_valid_ && !pending_splices_.empty()) {
-    std::size_t delta_bytes = 0;
-    for (const ustor::Splice& s : pending_splices_) delta_bytes += 20 + s.insert.size();
-    if (delta_bytes < enc_->size()) {
-      ++publish_deltas_;
-      ++published_;
-      const crypto::Hash new_root = *digest;
-      std::vector<ustor::Splice> splices = std::move(pending_splices_);
-      pending_splices_.clear();
-      const crypto::Hash base = last_pub_root_;
-      last_pub_root_ = new_root;
-      faust_.write_delta(base, new_root, enc_->size(), std::move(splices),
-                         [done = std::move(done)](Timestamp t) {
-                           if (done) done(t);
-                         });
-      return;
-    }
+  if (delta) {
+    ++publish_deltas_;
+    ++published_;
+    const crypto::Hash new_root = *digest;
+    std::vector<ustor::Splice> splices = std::move(pending_splices_);
+    pending_splices_.clear();
+    const crypto::Hash base = last_pub_root_;
+    last_pub_root_ = new_root;
+    faust_.write_delta(base, new_root, enc_->size(), std::move(splices),
+                       [done = std::move(done)](Timestamp t) {
+                         if (done) done(t);
+                       });
+    return;
   }
 
   ++publish_fulls_;
@@ -367,17 +377,26 @@ void KvClient::snapshot(
     // this client's own verified decode memos, enabling the O(1)
     // "unchanged" token and arming the bogus-negative rejection.
     snap->tried_cache = true;
-    std::vector<cache::CacheClient::Base> bases(n);
-    for (std::size_t slot = 0; slot < n; ++slot) {
-      const PartMemo& memo = part_memo_[slot];
-      if (memo.part) bases[slot] = cache::CacheClient::Base{true, memo.fp.digest};
-    }
-    cache_->lookup(std::move(bases), [this, snap](const cache::CacheClient::Result& res) {
+    cache_->lookup(cache_bases(), [this, snap](const cache::CacheClient::Result& res) {
       consume_cache_result(snap, res.sections);
     });
     return;
   }
   read_partition(1, std::move(snap));
+}
+
+std::vector<cache::CacheClient::Base> KvClient::cache_bases() const {
+  std::vector<cache::CacheClient::Base> bases(part_memo_.size());
+  for (std::size_t slot = 0; slot < bases.size(); ++slot) {
+    const PartMemo& memo = part_memo_[slot];
+    if (!memo.part) continue;
+    // The base bytes of a kDelta section are this memo re-encoded:
+    // encode_partition inverts decode_partition on every buffer the
+    // latter accepts, and the section's digest check catches the rest.
+    bases[slot] = cache::CacheClient::Base{
+        true, memo.fp.digest, [part = memo.part] { return encode_partition(*part); }};
+  }
+  return bases;
 }
 
 void KvClient::consume_cache_result(const std::shared_ptr<Snapshot>& snap,
@@ -459,13 +478,8 @@ void KvClient::snapshot_degraded(DegradedHandler done) {
   snap->tried_cache = true;
   ++snapshots_total_;
   ++degraded_snapshots_;
-  std::vector<cache::CacheClient::Base> bases(n);
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    const PartMemo& memo = part_memo_[slot];
-    if (memo.part) bases[slot] = cache::CacheClient::Base{true, memo.fp.digest};
-  }
   cache_->lookup(
-      std::move(bases),
+      cache_bases(),
       [this, snap, done = std::move(done)](const cache::CacheClient::Result& res) mutable {
         fold_cache_sections(snap, res.sections);
         for (std::size_t slot = 0; slot < snap->resolved.size(); ++slot) {

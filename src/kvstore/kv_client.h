@@ -339,6 +339,10 @@ class KvClient {
           done,
       bool bypass_cache = false);
 
+  /// What a cache lookup advertises per register: the verified digest of
+  /// each decoded memo, with the memo held to rebuild kDelta sections.
+  std::vector<cache::CacheClient::Base> cache_bases() const;
+
   /// Folds a verified cache lookup result into the snapshot (resolving
   /// served / unchanged / negative slots), then engine-reads the rest.
   void consume_cache_result(const std::shared_ptr<Snapshot>& snap,

@@ -179,11 +179,12 @@ crypto::Hash get_hash(wire::Reader& r) {
   return h;
 }
 
-void put_splice(wire::Writer& w, std::uint64_t offset, std::uint64_t erase_len,
-                BytesView insert) {
-  w.put_u64(offset);
-  w.put_u64(erase_len);
-  w.put_bytes(insert);
+std::size_t splice_size(std::size_t insert_len) { return 8 + 8 + 4 + insert_len; }
+
+void put_splice(wire::Writer& w, const Splice& s) {
+  w.put_u64(s.offset);
+  w.put_u64(s.erase_len);
+  w.put_bytes(BytesView(s.insert));
 }
 
 SpliceView get_splice(wire::Reader& r) {
@@ -192,15 +193,6 @@ SpliceView get_splice(wire::Reader& r) {
   s.erase_len = r.get_u64();
   s.insert = r.get_bytes_view();
   return s;
-}
-
-std::size_t splice_size(std::size_t insert_len) { return 8 + 8 + 4 + insert_len; }
-
-template <typename S>
-std::size_t splices_size(const std::vector<S>& ss) {
-  std::size_t sz = 4;  // count prefix
-  for (const auto& s : ss) sz += splice_size(s.insert.size());
-  return sz;
 }
 
 // Splices apply sequentially: each offset refers to the buffer as left by
@@ -288,6 +280,41 @@ std::size_t snapshot_l_count(const ReplySnapshot& m) {
 
 }  // namespace
 
+std::size_t splice_list_size(std::span<const Splice> splices) {
+  return splice_list_size(SpliceRuns(&splices, 1));
+}
+
+std::size_t splice_list_size(SpliceRuns runs) {
+  std::size_t sz = 4;  // count prefix
+  for (const auto& run : runs) {
+    for (const Splice& s : run) sz += splice_size(s.insert.size());
+  }
+  return sz;
+}
+
+void put_splice_list(wire::Writer& w, std::span<const Splice> splices) {
+  put_splice_list(w, SpliceRuns(&splices, 1));
+}
+
+void put_splice_list(wire::Writer& w, SpliceRuns runs) {
+  std::size_t count = 0;
+  for (const auto& run : runs) count += run.size();
+  w.put_u32(static_cast<std::uint32_t>(count));
+  for (const auto& run : runs) {
+    for (const Splice& s : run) put_splice(w, s);
+  }
+}
+
+bool get_splice_list(wire::Reader& r, std::vector<SpliceView>* out) {
+  const std::uint32_t count = r.get_u32();
+  // Every splice takes at least splice_size(0) bytes, so a count the rest
+  // of the buffer cannot hold is refused before anything is reserved.
+  if (!r.ok() || count > kMaxN || count > r.remaining() / splice_size(0)) return false;
+  out->reserve(count);
+  for (std::uint32_t q = 0; q < count && r.ok(); ++q) out->push_back(get_splice(r));
+  return r.ok();
+}
+
 InvocationTuple to_owned(const InvocationTupleView& v) {
   return InvocationTuple{v.client, v.oc, v.target,
                          Bytes(v.submit_sig.begin(), v.submit_sig.end())};
@@ -367,7 +394,7 @@ std::size_t size_hint(const SubmitDeltaMessage& m) {
   std::size_t sz = 1 + 8 + invocation_size(m.inv) + 4 + m.data_sig.size() +
                    (m.commit ? commit_tail_size(*m.commit) : 0);
   if (m.inv.oc == OpCode::kWrite) {
-    sz += 32 + 32 + 8 + splices_size(m.splices);  // base, root, size, splices
+    sz += 32 + 32 + 8 + splice_list_size(m.splices);  // base, root, size, splices
   } else {
     sz += 8 + 32;  // base_ts, base_digest
   }
@@ -377,7 +404,7 @@ std::size_t size_hint(const SubmitDeltaMessage& m) {
 std::size_t size_hint(const ReplyDeltaMessage& m) {
   std::size_t sz = 1 + 4 + signed_version_size(m.last) + signed_version_size(m.read.writer) +
                    8 + 1 + 32;
-  if (!m.read.unchanged) sz += 8 + splices_size(m.read.splices);
+  if (!m.read.unchanged) sz += 8 + splice_list_size(m.read.splices);
   sz += 4 + m.read.data_sig.size();
   sz += 4;
   for (const InvocationTuple& inv : m.L) sz += invocation_size(inv);
@@ -439,18 +466,15 @@ Bytes encode_submit_delta(Timestamp t, const InvocationTuple& inv,
                           const crypto::Hash& base_digest, const crypto::Hash& new_root,
                           std::uint64_t new_size, std::span<const Splice> splices,
                           BytesView data_sig, const CommitMessage* commit) {
-  std::size_t sz = 1 + 8 + invocation_size(inv) + 32 + 32 + 8 + 4 + 4 + data_sig.size() +
-                   (commit ? commit_tail_size(*commit) : 0);
-  for (const Splice& s : splices) sz += splice_size(s.insert.size());
-  wire::Writer w(sz);
+  wire::Writer w(1 + 8 + invocation_size(inv) + 32 + 32 + 8 + splice_list_size(splices) + 4 +
+                 data_sig.size() + (commit ? commit_tail_size(*commit) : 0));
   w.put_u8(static_cast<std::uint8_t>(MsgType::kSubmitDelta));
   w.put_u64(t);
   put_invocation(w, inv);
   put_hash(w, base_digest);
   put_hash(w, new_root);
   w.put_u64(new_size);
-  w.put_u32(static_cast<std::uint32_t>(splices.size()));
-  for (const Splice& s : splices) put_splice(w, s.offset, s.erase_len, BytesView(s.insert));
+  put_splice_list(w, splices);
   w.put_bytes(data_sig);
   if (commit) put_commit_tail(w, *commit);
   return w.take();
@@ -493,8 +517,7 @@ Bytes encode(const ReplyDeltaMessage& m) {
   put_hash(w, m.read.base_digest);
   if (!m.read.unchanged) {
     w.put_u64(m.read.new_size);
-    w.put_u32(static_cast<std::uint32_t>(m.read.splices.size()));
-    for (const Splice& s : m.read.splices) put_splice(w, s.offset, s.erase_len, BytesView(s.insert));
+    put_splice_list(w, m.read.splices);
   }
   w.put_bytes(m.read.data_sig);
   w.put_u32(static_cast<std::uint32_t>(m.L.size()));
@@ -514,15 +537,9 @@ Bytes encode_reply_delta(const ReplySnapshot& snap, const ReadDeltaPlan& plan) {
   const ReadPartView read = read_part(snap.read);
   const SignedVersion& writer = read.writer != nullptr ? *read.writer : kNoWriter;
 
-  std::size_t nsplices = 0;
-  std::size_t splice_bytes = 0;
-  for (const auto& run : plan.runs) {
-    nsplices += run.size();
-    for (const Splice& s : run) splice_bytes += splice_size(s.insert.size());
-  }
   std::size_t sz =
       1 + 4 + signed_version_size(snap.last) + signed_version_size(writer) + 8 + 1 + 32;
-  if (!plan.unchanged) sz += 8 + 4 + splice_bytes;
+  if (!plan.unchanged) sz += 8 + splice_list_size(plan.runs);
   sz += 4 + read.data_sig.size();
   sz += 4;
   for (std::size_t q = 0; q < lc; ++q) sz += invocation_size(L[q]);
@@ -539,10 +556,7 @@ Bytes encode_reply_delta(const ReplySnapshot& snap, const ReadDeltaPlan& plan) {
   put_hash(w, plan.base_digest);
   if (!plan.unchanged) {
     w.put_u64(plan.new_size);
-    w.put_u32(static_cast<std::uint32_t>(nsplices));
-    for (const auto& run : plan.runs) {
-      for (const Splice& s : run) put_splice(w, s.offset, s.erase_len, BytesView(s.insert));
-    }
+    put_splice_list(w, plan.runs);
   }
   w.put_bytes(read.data_sig);
   w.put_u32(static_cast<std::uint32_t>(lc));
@@ -682,10 +696,7 @@ std::optional<SubmitDeltaMessageView> decode_submit_delta_view(BytesView data) {
     m.base_digest = get_hash(r);
     m.new_root = get_hash(r);
     m.new_size = r.get_u64();
-    const std::uint32_t ns = r.get_u32();
-    if (ns > kMaxN) return std::nullopt;
-    m.splices.reserve(ns);
-    for (std::uint32_t q = 0; q < ns && r.ok(); ++q) m.splices.push_back(get_splice(r));
+    if (!get_splice_list(r, &m.splices)) return std::nullopt;
   } else {
     m.base_ts = r.get_u64();
     m.base_digest = get_hash(r);
@@ -729,10 +740,7 @@ std::optional<ReplyDeltaMessageView> decode_reply_delta_view(BytesView data) {
   m.read.base_digest = get_hash(r);
   if (!m.read.unchanged) {
     m.read.new_size = r.get_u64();
-    const std::uint32_t ns = r.get_u32();
-    if (ns > kMaxN) return std::nullopt;
-    m.read.splices.reserve(ns);
-    for (std::uint32_t q = 0; q < ns && r.ok(); ++q) m.read.splices.push_back(get_splice(r));
+    if (!get_splice_list(r, &m.read.splices)) return std::nullopt;
   }
   m.read.data_sig = r.get_bytes_view();
   const std::uint32_t l = r.get_u32();

@@ -30,6 +30,11 @@
 #include "common/ids.h"
 #include "ustor/types.h"
 
+namespace faust::wire {
+class Reader;
+class Writer;
+}  // namespace faust::wire
+
 namespace faust::ustor {
 
 /// Message type tags (first byte of every message).
@@ -165,6 +170,23 @@ std::optional<Bytes> apply_delta(BytesView base, std::span<const Splice> splices
                                  std::uint64_t expected_size);
 std::optional<Bytes> apply_delta(BytesView base, std::span<const SpliceView> splices,
                                  std::uint64_t expected_size);
+
+/// The splice-list codec, one for every delta on the wire: SUBMIT_DELTA,
+/// REPLY_DELTA, the durable snapshot image, and the cache tier's delta
+/// fills and sections (DESIGN.md D8). A splice is u64 offset | u64
+/// erase_len | u32-prefixed insert; a list is a u32 count followed by its
+/// splices. A list may be written from several runs (one per history
+/// record), which concatenate on the wire.
+using SpliceRuns = std::span<const std::span<const Splice>>;
+std::size_t splice_list_size(std::span<const Splice> splices);  // count prefix included
+std::size_t splice_list_size(SpliceRuns runs);
+void put_splice_list(wire::Writer& w, std::span<const Splice> splices);
+void put_splice_list(wire::Writer& w, SpliceRuns runs);
+
+/// Reads one counted splice list into `out` (inserts view into the
+/// reader's buffer). False on a short read, or on a count above 2^16 or
+/// one the remaining bytes cannot hold — refused before any allocation.
+bool get_splice_list(wire::Reader& r, std::vector<SpliceView>* out);
 
 /// ⟨SUBMIT_DELTA, t, (i,oc,j,σ), …, δ⟩ — client → server. Two forms,
 /// selected by the opcode (any mismatch between opcode and fields is

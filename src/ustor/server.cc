@@ -112,12 +112,6 @@ ReplySnapshot ServerCore::process_submit(const SubmitMessageView& m,
   return submit_impl(m.t, to_owned(m.inv), std::move(value), share(buffer, m.data_sig));
 }
 
-std::size_t ServerCore::DeltaRecord::wire_size(const std::vector<Splice>& splices) {
-  std::size_t wire = 4;  // splice-count prefix
-  for (const Splice& s : splices) wire += 8 + 8 + 4 + s.insert.size();
-  return wire;
-}
-
 bool ServerCore::ensure_digest(ClientId i) {
   MemEntry& me = mem(i);
   if (!me.value.has_value()) return false;
@@ -139,25 +133,14 @@ std::optional<ReplySnapshot> ServerCore::process_submit_delta(
       apply_delta(me.value->view(), std::span<const SpliceView>(m.splices), m.new_size);
   if (!applied.has_value()) return std::nullopt;
 
-  // Chain bookkeeping: if the writer's claimed base matches the root of
-  // the value we actually hold, the new record extends the history chain;
-  // otherwise the chain restarts at this record. The server never verifies
-  // new_root — it cannot (untrusted); verifiers check it against the DATA
-  // signature and their own rehash.
+  // Chain bookkeeping (DeltaHistory::append) against the root of the value
+  // we actually hold. The server never verifies new_root — it cannot
+  // (untrusted); verifiers check it against the DATA signature and their
+  // own rehash.
   ensure_digest(i);
-  std::deque<DeltaRecord> history;
-  if (me.digest == m.base_digest) history = std::move(me.history);
-  DeltaRecord rec;
-  rec.from = m.base_digest;
-  rec.to = m.new_root;
-  rec.new_size = m.new_size;
-  rec.splices.reserve(m.splices.size());
-  for (const SpliceView& s : m.splices) {
-    rec.splices.push_back(Splice{s.offset, s.erase_len, Bytes(s.insert.begin(), s.insert.end())});
-  }
-  rec.wire_bytes = DeltaRecord::wire_size(rec.splices);
-  history.push_back(std::move(rec));
-  while (history.size() > kDeltaHistoryDepth) history.pop_front();
+  DeltaHistory history = std::move(me.history);
+  history.append(me.digest, DeltaRecord::copy_of(m.base_digest, m.new_root, m.new_size,
+                                                 std::span<const SpliceView>(m.splices)));
 
   ReplySnapshot reply = submit_impl(m.t, to_owned(m.inv), SharedBytes::owned(std::move(*applied)),
                                     share(buffer, m.data_sig));
@@ -182,47 +165,17 @@ std::optional<ServerCore::Answer> ServerCore::answer_submit_delta(
   if (!is_client(m.inv.client) || !is_client(j)) return std::nullopt;
   Answer a{submit_impl(m.t, to_owned(m.inv), std::nullopt, share(buffer, m.data_sig))};
   a.advertised = true;
-  a.serving = plan_read_delta(j, m.base_digest, &a.plan);
+  a.plan.base_digest = m.base_digest;
+  if (ensure_digest(j)) {  // a register still ⊥ is answered in full
+    const MemEntry& me = mem(j);
+    a.serving = me.history.plan(me.digest, me.value->view().size(), m.base_digest, &a.plan);
+  }
   return a;
 }
 
 Bytes ServerCore::Answer::encode() const {
   if (advertised && serving != ReadServing::kFull) return encode_reply_delta(reply, plan);
   return ustor::encode(reply);  // D6 fallback: full value
-}
-
-ServerCore::ReadServing ServerCore::plan_read_delta(ClientId j, const crypto::Hash& base,
-                                                    ReadDeltaPlan* plan) {
-  plan->unchanged = false;
-  plan->base_digest = base;
-  plan->runs.clear();
-  if (!ensure_digest(j)) return ReadServing::kFull;  // register still ⊥
-  const MemEntry& me = mem(j);
-  if (me.digest == base) {
-    plan->unchanged = true;
-    return ReadServing::kUnchanged;
-  }
-  // Walk the history back from the newest record, looking for the reader's
-  // base; give up if the accumulated splice bytes already match the full
-  // value (a delta that isn't smaller buys nothing).
-  const std::size_t full_size = me.value->view().size();
-  std::size_t bytes = 0;
-  std::size_t start = me.history.size();
-  for (std::size_t q = me.history.size(); q > 0; --q) {
-    bytes += me.history[q - 1].wire_bytes;
-    if (bytes >= full_size) return ReadServing::kFull;
-    if (me.history[q - 1].from == base) {
-      start = q - 1;
-      break;
-    }
-  }
-  if (start == me.history.size()) return ReadServing::kFull;  // base too old
-  plan->new_size = full_size;
-  plan->runs.reserve(me.history.size() - start);
-  for (std::size_t q = start; q < me.history.size(); ++q) {
-    plan->runs.push_back(std::span<const Splice>(me.history[q].splices));
-  }
-  return ReadServing::kDelta;
 }
 
 void ServerCore::restore(std::vector<MemEntry> mem, ClientId c,

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -27,6 +26,7 @@
 #include "common/bytes.h"
 #include "common/ids.h"
 #include "net/transport.h"
+#include "ustor/delta_history.h"
 #include "ustor/messages.h"
 #include "ustor/types.h"
 
@@ -78,13 +78,6 @@ class ServerCore {
   std::optional<ReplySnapshot> process_submit_delta(const SubmitDeltaMessageView& m,
                                                     const std::shared_ptr<const Bytes>& buffer);
 
-  /// How an advertised-base read can be served.
-  enum class ReadServing {
-    kFull,       // base unknown / history too old / delta not smaller
-    kUnchanged,  // stored root equals the advertised base
-    kDelta,      // plan->runs carries the base forward to the current value
-  };
-
   /// A processed SUBMIT or SUBMIT_DELTA before it leaves as bytes: the
   /// full reply plus, for an advertised-base read, how far the reader's
   /// base lets the D6 wire shrink it. Server's reply hook sees this.
@@ -115,12 +108,6 @@ class ServerCore {
   /// path).
   std::optional<Answer> answer_submit_delta(const SubmitDeltaMessageView& m,
                                             const std::shared_ptr<const Bytes>& buffer);
-
-  /// Decides how to answer a read of register `j` whose client advertised
-  /// `base` as its last verified chunk-tree root. On kDelta the plan's
-  /// spans borrow mem(j).history and are valid until the next mutation of
-  /// that register.
-  ReadServing plan_read_delta(ClientId j, const crypto::Hash& base, ReadDeltaPlan* plan);
 
   /// Lazily computes mem(i).digest (chunk-tree root of the stored value);
   /// false iff the register is still ⊥.
@@ -168,34 +155,17 @@ class ServerCore {
   // The value/signature are shared slices of the writer's retained SUBMIT
   // message (or owned buffers on the legacy ingest path) — consumers that
   // mutate take to_owned()/to_bytes() copies.
-  /// One accepted SUBMIT_DELTA, kept so later advertised-base reads can be
-  /// served as splices: the records of one history chain (`to` of each is
-  /// the `from` of the next).
-  struct DeltaRecord {
-    crypto::Hash from{};  // chunk-tree root the splices apply against
-    crypto::Hash to{};    // root after applying them (the writer's claim)
-    std::uint64_t new_size = 0;
-    std::vector<Splice> splices;
-    std::size_t wire_bytes = 0;  // encoded size of the splice list
-
-    /// Encoded size of `splices` on the wire (count prefix included).
-    static std::size_t wire_size(const std::vector<Splice>& splices);
-  };
-
-  /// How many delta records to retain per register; a reader whose base is
-  /// older than the window falls back to the full value.
-  static constexpr std::size_t kDeltaHistoryDepth = 8;
-
   struct MemEntry {
     Timestamp t = 0;
     SharedValue value;     // last written value (⊥ before the first write)
     SharedBytes data_sig;  // last DATA-signature
     // Delta bookkeeping (D6). `digest` is the chunk-tree root of `value`,
     // computed lazily on the first delta-path touch; a full write resets
-    // all three (the whole MemEntry is replaced).
+    // all three (the whole MemEntry is replaced). `history` holds the
+    // accepted SUBMIT_DELTAs that advertised-base reads are served from.
     bool digest_known = false;
     crypto::Hash digest{};
-    std::deque<DeltaRecord> history;
+    DeltaHistory history;
   };
 
   MemEntry& mem(ClientId i) { return MEM_[static_cast<std::size_t>(i - 1)]; }

@@ -49,21 +49,16 @@ bool get_hash(wire::Reader& r, crypto::Hash* out) {
 }
 
 // Delta bookkeeping of one register (D6/D7): the digest state and the
-// splice history plan_read_delta serves advertised-base reads from.
+// splice history advertised-base reads are served from.
 void put_delta_state(wire::Writer& w, const ServerCore::MemEntry& me) {
   w.put_u8(me.digest_known ? 1 : 0);
   if (me.digest_known) put_hash(w, me.digest);
   w.put_u32(static_cast<std::uint32_t>(me.history.size()));
-  for (const ServerCore::DeltaRecord& rec : me.history) {
+  for (const DeltaRecord& rec : me.history) {
     put_hash(w, rec.from);
     put_hash(w, rec.to);
     w.put_u64(rec.new_size);
-    w.put_u32(static_cast<std::uint32_t>(rec.splices.size()));
-    for (const Splice& sp : rec.splices) {
-      w.put_u64(sp.offset);
-      w.put_u64(sp.erase_len);
-      w.put_bytes(sp.insert);
-    }
+    put_splice_list(w, rec.splices);
   }
 }
 
@@ -73,28 +68,21 @@ bool get_delta_state(wire::Reader& r, ServerCore::MemEntry* me) {
   me->digest_known = known == 1;
   if (me->digest_known && !get_hash(r, &me->digest)) return false;
   const std::uint32_t records = r.get_u32();
-  if (!r.ok() || records > ServerCore::kDeltaHistoryDepth) return false;
+  if (!r.ok() || records > DeltaHistory::kDepth) return false;
   // The live core keeps these implications; an image that breaks them
   // was not written by encode_server_state.
   if (me->digest_known && !me->value.has_value()) return false;
   if (records > 0 && !me->digest_known) return false;
   for (std::uint32_t q = 0; q < records; ++q) {
-    ServerCore::DeltaRecord rec;
-    if (!get_hash(r, &rec.from) || !get_hash(r, &rec.to)) return false;
-    rec.new_size = r.get_u64();
-    const std::uint32_t count = r.get_u32();
-    // Each splice takes at least 20 bytes: a count the rest of the image
-    // cannot hold is corruption, not a reason to allocate.
-    if (!r.ok() || count > r.remaining() / 20) return false;
-    rec.splices.resize(count);
-    for (Splice& sp : rec.splices) {
-      sp.offset = r.get_u64();
-      sp.erase_len = r.get_u64();
-      sp.insert = r.get_bytes();
-      if (!r.ok()) return false;
-    }
-    rec.wire_bytes = ServerCore::DeltaRecord::wire_size(rec.splices);
-    me->history.push_back(std::move(rec));
+    crypto::Hash from{};
+    crypto::Hash to{};
+    if (!get_hash(r, &from) || !get_hash(r, &to)) return false;
+    const std::uint64_t new_size = r.get_u64();
+    std::vector<SpliceView> splices;
+    if (!get_splice_list(r, &splices)) return false;
+    // Appending each record against its own `from` keeps the saved chain
+    // exactly as it was.
+    me->history.append(from, DeltaRecord::copy_of(from, to, new_size, splices));
   }
   return true;
 }

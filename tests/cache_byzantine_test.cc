@@ -1,6 +1,7 @@
 // Byzantine cache node: every lie an EvilCacheNode can tell must be
-// REJECTED by the client-side verification (tampered values, forged
-// digests/signatures, bogus negatives, fake unchanged tokens) or at
+// REJECTED by the client-side verification (tampered values and splices,
+// forged digests/signatures/bases, bogus negatives, fake unchanged
+// tokens, poisoned slots and forged delta histories) or at
 // worst degrade to stale-but-authentic data with the staleness surfaced
 // (stale-beyond-TTL serving). In every mode the client falls back to the
 // home shard and reads the CORRECT value, and the deployment never
@@ -124,6 +125,160 @@ INSTANTIATE_TEST_SUITE_P(AllDistortions, RejectedDistortion,
                          ::testing::Values(EvilCacheNode::Mode::kTamperValue,
                                            EvilCacheNode::Mode::kForgeDigest,
                                            EvilCacheNode::Mode::kForgeSig));
+
+/// RejectedDistortion with a put between reads, so that the readers'
+/// advertised bases trail the slot and the node serves kDelta sections:
+/// forged splices, forged bases and the digest/signature forgeries on the
+/// delta form are all rejected into a correct fallback.
+class RejectedDeltaDistortion : public ::testing::TestWithParam<EvilCacheNode::Mode> {};
+
+TEST_P(RejectedDeltaDistortion, ClientRejectsDeltaSectionsFallsBackAndNobodyIsCondemned) {
+  EvilRig rig(GetParam());
+  // A partition large enough that a one-key change ships as splices.
+  for (int k = 0; k < 30; ++k) rig.put(1, "pre" + std::to_string(k), std::string(24, 'p'));
+  rig.put(2, "other", "payload-two");
+
+  for (int round = 0; round < 4; ++round) {
+    const std::string want = "payload-" + std::to_string(round);
+    rig.put(1, "k", want);
+    for (ClientId reader = 1; reader <= 3; ++reader) {
+      const EvilRig::Got got = rig.get(reader, "k");
+      ASSERT_TRUE(got.completed) << "round " << round << " reader " << int(reader);
+      ASSERT_TRUE(got.entry.has_value());
+      EXPECT_EQ(got.entry->value, want)
+          << "a Byzantine cache must never change an observed value";
+      EXPECT_EQ(got.entry->writer, 1);
+    }
+  }
+
+  EXPECT_GT(rig.node->delta_hits(), 0u) << "the variant must actually serve delta sections";
+  EXPECT_GT(rig.node->corruptions(), 0u) << "the adversary must actually have lied";
+  std::uint64_t rejected = 0;
+  for (ClientId i = 1; i <= 3; ++i) rejected += rig.hop(i).sections_rejected();
+  EXPECT_GT(rejected, 0u) << "distorted sections must be scored kRejected, not missed";
+  EXPECT_FALSE(rig.cluster->any_failed())
+      << "cache lies are absorbed by fallback — they never condemn the shard";
+}
+
+INSTANTIATE_TEST_SUITE_P(DeltaDistortions, RejectedDeltaDistortion,
+                         ::testing::Values(EvilCacheNode::Mode::kTamperSplice,
+                                           EvilCacheNode::Mode::kForgeBase,
+                                           EvilCacheNode::Mode::kForgeDigest,
+                                           EvilCacheNode::Mode::kForgeSig));
+
+/// The genuine binding of writer 1's latest publication: what an honest
+/// fill of it carries, and what a poisoner can copy.
+struct Binding {
+  Timestamp ts = 0;
+  crypto::Hash digest{};
+  Bytes sig;
+  Bytes value;
+};
+
+Binding put_and_bind(EvilRig& rig, const std::string& k, const std::string& v) {
+  Binding b;
+  rig.client(1).put(k, v, [&](Timestamp t) { b.ts = t; });
+  std::size_t steps = 0;
+  while (b.ts == 0 && steps < 2'000'000 && rig.cluster->sched().step()) ++steps;
+  EXPECT_GT(b.ts, 0u);
+  rig.cluster->run_for(100);
+  const BytesView enc = rig.client(1).encoded_partition();
+  b.value.assign(enc.begin(), enc.end());
+  b.digest = ustor::value_digest(rig.cfg.faust.data_digest, enc);
+  const BytesView sig = rig.cluster->client(1).last_write_sig();
+  b.sig.assign(sig.begin(), sig.end());
+  return b;
+}
+
+TEST(EvilCache, HonestRefillReplacesTamperedBytesUnderTheGenuineBinding) {
+  // An honest node, but a poisoned slot: after writer 1's slot expired, a
+  // fill arrived with the writer's genuine (writer_ts, digest, signature)
+  // over bytes with one flipped bit. Reader 2 has no base, is served the
+  // tampered bytes, rejects them and falls back; its read-through fill
+  // carries the genuine bytes under the same binding, and must replace
+  // the held ones — so the next reader without a base is served from the
+  // cache with no rejection.
+  EvilRig rig(EvilCacheNode::Mode::kHonest, 99, 3, /*ttl=*/10'000);
+  const Binding b = put_and_bind(rig, "k", "genuine");
+  rig.cluster->run_for(20'000);
+  ASSERT_FALSE(rig.node->holds(1));
+
+  cache::FillSection poison;
+  poison.writer = 1;
+  poison.present = true;
+  poison.writer_ts = b.ts;
+  poison.digest = b.digest;
+  poison.sig = b.sig;
+  poison.value = b.value;
+  poison.value[poison.value.size() / 2] ^= 0x01;
+  poison.as_of = b.ts;
+  std::vector<cache::FillSection> fills;
+  fills.push_back(std::move(poison));
+  rig.hop(3).fill(std::move(fills));
+  rig.cluster->run_for(100);
+
+  const EvilRig::Got first = rig.get(2, "k");
+  ASSERT_TRUE(first.completed);
+  ASSERT_TRUE(first.entry.has_value());
+  EXPECT_EQ(first.entry->value, "genuine");
+  EXPECT_EQ(rig.hop(2).sections_rejected(), 1u);
+
+  const EvilRig::Got next = rig.get(3, "k");
+  ASSERT_TRUE(next.completed);
+  ASSERT_TRUE(next.entry.has_value());
+  EXPECT_EQ(next.entry->value, "genuine");
+  EXPECT_TRUE(next.origin.cached);
+  EXPECT_EQ(rig.hop(3).sections_rejected(), 0u)
+      << "an honest refill must wash the tampered bytes out of the slot";
+  EXPECT_FALSE(rig.cluster->any_failed());
+}
+
+TEST(EvilCache, ForgedDeltaHistoryIsRejectedAndTheSlotHeals) {
+  // A Byzantine client pushes a delta fill with garbage splices under the
+  // real base, the real new root and the real DATA signature. The node
+  // verifies nothing and chains it; readers must reject what it rebuilds,
+  // fall back, and their refills must heal the slot.
+  EvilRig rig(EvilCacheNode::Mode::kHonest);
+  rig.client(1).attach_cache(nullptr);  // the writer's own pushes stay out
+  for (int k = 0; k < 20; ++k) rig.put(1, "pre" + std::to_string(k), std::string(24, 'p'));
+  const Binding before = put_and_bind(rig, "k", "old");
+  const EvilRig::Got seeded = rig.get(2, "k");  // read-through seeds the slot
+  ASSERT_TRUE(seeded.entry.has_value());
+  ASSERT_TRUE(rig.node->holds(1));
+
+  const Binding after = put_and_bind(rig, "k", "new");
+  cache::FillSection forged;
+  forged.writer = 1;
+  forged.present = true;
+  forged.writer_ts = after.ts;
+  forged.digest = after.digest;
+  forged.sig = after.sig;
+  forged.as_of = after.ts;
+  forged.delta = true;
+  forged.base = before.digest;
+  forged.new_size = before.value.size();
+  forged.splices = {ustor::Splice{8, 4, Bytes{'X', 'X', 'X', 'X'}}};
+  std::vector<cache::FillSection> fills;
+  fills.push_back(std::move(forged));
+  rig.hop(3).fill(std::move(fills));
+  rig.cluster->run_for(100);
+  ASSERT_EQ(rig.node->delta_fills(), 1u) << "the forged record must actually be chained";
+
+  const EvilRig::Got got = rig.get(2, "k");
+  ASSERT_TRUE(got.completed);
+  ASSERT_TRUE(got.entry.has_value());
+  EXPECT_EQ(got.entry->value, "new");
+  EXPECT_EQ(rig.node->delta_hits(), 1u) << "reader 2's base reaches the forged record";
+  EXPECT_EQ(rig.hop(2).sections_rejected(), 1u);
+
+  const EvilRig::Got healed = rig.get(3, "k");
+  ASSERT_TRUE(healed.completed);
+  ASSERT_TRUE(healed.entry.has_value());
+  EXPECT_EQ(healed.entry->value, "new");
+  EXPECT_TRUE(healed.origin.cached);
+  EXPECT_EQ(rig.hop(3).sections_rejected(), 0u);
+  EXPECT_FALSE(rig.cluster->any_failed());
+}
 
 TEST(EvilCache, BogusNegativeIsRefutedByTheClientsOwnKnowledge) {
   EvilRig rig(EvilCacheNode::Mode::kBogusNegative);

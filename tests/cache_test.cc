@@ -1,13 +1,15 @@
 // D8 edge-cache tier semantics: wire codec hardening, TTL expiry, LRU
 // arena eviction, negative-entry invalidation, the O(1) unchanged fast
-// path, writer push fills, surfaced staleness, and the deltas×cache 2×2
-// differential (the cache is pure performance — bypass-cache merged
-// views are byte-identical across every tuning × cache combination).
+// path, writer push fills, surfaced staleness, the delta tier (splice
+// fills and kDelta sections), and the deltas×cache 2×2 differential (the
+// cache is pure performance — bypass-cache merged views are
+// byte-identical across every tuning × cache combination).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -97,6 +99,87 @@ TEST(CacheWire, FillRoundTrip) {
   EXPECT_EQ(dec->sections[1].as_of, 4u);
 }
 
+std::vector<ustor::Splice> test_splices() {
+  return {ustor::Splice{3, 2, Bytes{7, 7, 7}}, ustor::Splice{0, 0, Bytes{}},
+          ustor::Splice{9, 1, Bytes{1}}};
+}
+
+/// A reply whose only section is a kDelta over `splices` (split in two
+/// runs, as a node serving two history records would).
+Bytes delta_reply(const std::vector<ustor::Splice>& splices) {
+  std::vector<OutSection> sections(1);
+  sections[0].status = SectionStatus::kDelta;
+  sections[0].writer_ts = 42;
+  sections[0].digest = test_hash(0x01);
+  sections[0].sig = Bytes{1, 2, 3};
+  sections[0].as_of = 40;
+  sections[0].delta.base_digest = test_hash(0x02);
+  sections[0].delta.new_size = 77;
+  const std::span<const ustor::Splice> all(splices);
+  sections[0].delta.runs = {all.first(1), all.subspan(1)};
+  return encode_reply(5, sections);
+}
+
+std::vector<FillSection> delta_fill() {
+  std::vector<FillSection> fills(1);
+  fills[0].writer = 2;
+  fills[0].present = true;
+  fills[0].writer_ts = 9;
+  fills[0].digest = test_hash(0x33);
+  fills[0].sig = Bytes{4, 5};
+  fills[0].as_of = 9;
+  fills[0].delta = true;
+  fills[0].base = test_hash(0x44);
+  fills[0].new_size = 1'000;
+  fills[0].splices = test_splices();
+  return fills;
+}
+
+void expect_splices(const std::vector<ustor::SpliceView>& got,
+                    const std::vector<ustor::Splice>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t q = 0; q < got.size(); ++q) {
+    EXPECT_EQ(got[q].offset, want[q].offset);
+    EXPECT_EQ(got[q].erase_len, want[q].erase_len);
+    EXPECT_EQ(Bytes(got[q].insert.begin(), got[q].insert.end()), want[q].insert);
+  }
+}
+
+TEST(CacheWire, DeltaSectionRoundTrip) {
+  const Bytes enc = delta_reply(test_splices());
+  const auto dec = decode_reply_view(enc);
+  ASSERT_TRUE(dec.has_value());
+  ASSERT_EQ(dec->sections.size(), 1u);
+  const ReplySectionView& s = dec->sections[0];
+  EXPECT_EQ(s.status, SectionStatus::kDelta);
+  EXPECT_EQ(s.writer_ts, 42u);
+  EXPECT_EQ(s.digest, test_hash(0x01));
+  EXPECT_EQ(Bytes(s.sig.begin(), s.sig.end()), (Bytes{1, 2, 3}));
+  EXPECT_EQ(s.base, test_hash(0x02));
+  EXPECT_EQ(s.new_size, 77u);
+  EXPECT_EQ(s.as_of, 40u);
+  expect_splices(s.splices, test_splices());  // the two runs, concatenated
+}
+
+TEST(CacheWire, DeltaFillRoundTrip) {
+  const Bytes enc = encode_fill(delta_fill());
+  const auto dec = decode_fill_view(enc);
+  ASSERT_TRUE(dec.has_value());
+  ASSERT_EQ(dec->sections.size(), 1u);
+  const FillSectionView& s = dec->sections[0];
+  EXPECT_EQ(s.writer, 2);
+  EXPECT_TRUE(s.present);
+  EXPECT_TRUE(s.delta);
+  EXPECT_EQ(s.writer_ts, 9u);
+  EXPECT_EQ(s.digest, test_hash(0x33));
+  EXPECT_EQ(Bytes(s.sig.begin(), s.sig.end()), (Bytes{4, 5}));
+  EXPECT_EQ(s.base, test_hash(0x44));
+  EXPECT_EQ(s.new_size, 1'000u);
+  EXPECT_TRUE(s.value.empty());
+  EXPECT_EQ(s.as_of, 9u);
+  expect_splices(s.splices, test_splices());
+}
+
 TEST(CacheWire, MalformedInputsAreRejected) {
   EXPECT_FALSE(decode_get(BytesView()).has_value());
   EXPECT_FALSE(decode_reply_view(BytesView()).has_value());
@@ -125,6 +208,39 @@ TEST(CacheWire, MalformedInputsAreRejected) {
   for (std::size_t len = 1; len < reply.size(); ++len) {
     EXPECT_FALSE(decode_reply_view(BytesView(reply.data(), len)).has_value()) << len;
   }
+
+  // The delta forms: truncation at every offset fails.
+  const Bytes delta = delta_reply(test_splices());
+  const Bytes fill = encode_fill(delta_fill());
+  for (std::size_t len = 0; len < delta.size(); ++len) {
+    EXPECT_FALSE(decode_reply_view(BytesView(delta.data(), len)).has_value()) << len;
+  }
+  for (std::size_t len = 0; len < fill.size(); ++len) {
+    EXPECT_FALSE(decode_fill_view(BytesView(fill.data(), len)).has_value()) << len;
+  }
+  // Status and fill-form bytes past the last defined one are refused
+  // (tag u8, req_id u64, count u32, then the status; tag, count u32,
+  // writer u32, then the form).
+  Bytes bad_status = delta;
+  bad_status[1 + 8 + 4] = static_cast<std::uint8_t>(SectionStatus::kDelta) + 1;
+  EXPECT_FALSE(decode_reply_view(bad_status).has_value());
+  Bytes bad_form = fill;
+  ASSERT_EQ(bad_form[1 + 4 + 4], 2);
+  bad_form[1 + 4 + 4] = 3;
+  EXPECT_FALSE(decode_fill_view(bad_form).has_value());
+  // A splice count the rest of the message cannot hold is refused before
+  // anything is reserved: claim 1,000 splices (each at least 20 bytes) in
+  // a message with well under 20,000 left.
+  const auto claim_splices = [](Bytes b, std::size_t at) {
+    EXPECT_EQ(b[at], 3);  // the three test splices
+    b[at] = 0xE8;
+    b[at + 1] = 0x03;
+    return b;
+  };
+  const std::size_t section_count_at = 1 + 8 + 4 + 1 + 8 + 32 + 4 + 3 + 32 + 8;
+  EXPECT_FALSE(decode_reply_view(claim_splices(delta, section_count_at)).has_value());
+  const std::size_t fill_count_at = 1 + 4 + 4 + 1 + 8 + 32 + 4 + 2 + 32 + 8;
+  EXPECT_FALSE(decode_fill_view(claim_splices(fill, fill_count_at)).has_value());
 }
 
 // --- Cache semantics against a live deployment -----------------------------
@@ -415,6 +531,250 @@ TEST(CacheSemantics, StaleWithinTtlIsSurfacedNotHidden) {
   EXPECT_FALSE(cluster.any_failed());
 }
 
+// --- The delta tier: splice fills and kDelta sections -----------------------
+
+std::string key_of(int k) {
+  std::string digits = std::to_string(k);
+  return "key" + std::string(4 - digits.size(), '0') + digits;
+}
+
+/// Writer `w` publishes `count` keys in one (full) publication.
+void preload(CacheRig& rig, ClientId w, int count, std::size_t value_len = 24) {
+  std::vector<kv::KvClient::SeqChange> changes;
+  for (int k = 0; k < count; ++k) {
+    changes.push_back({key_of(k), std::string(value_len, static_cast<char>('a' + k % 26)),
+                       static_cast<std::uint64_t>(k + 1)});
+  }
+  bool done = false;
+  rig.client(w).apply_with_seqs(changes, [&](Timestamp) { done = true; });
+  rig.drive(done);
+  ASSERT_TRUE(done);
+  rig.settle();
+}
+
+TEST(CacheDelta, ChangedPartitionShipsSplicesNotThePartition) {
+  CacheRig rig(31);
+  preload(rig, 1, 1'000);
+  ASSERT_GT(rig.client(1).encoded_partition().size(), 40'000u);
+  const CacheRig::Got before = rig.get(2, key_of(500));
+  ASSERT_TRUE(before.entry.has_value());
+
+  const net::Network& net = rig.cluster->net();
+  const auto tag = [](MsgType t) { return static_cast<std::uint8_t>(t); };
+  const std::uint64_t fill0 = net.total_for(tag(MsgType::kFill)).bytes;
+  rig.put(1, key_of(500), "changed");
+  const std::uint64_t fill_bytes = net.total_for(tag(MsgType::kFill)).bytes - fill0;
+
+  const std::uint64_t reply0 = net.total_for(tag(MsgType::kReply)).bytes;
+  const std::uint64_t engine0 = rig.client(2).registers_engine_read();
+  const CacheRig::Got after = rig.get(2, key_of(500));
+  const std::uint64_t reply_bytes = net.total_for(tag(MsgType::kReply)).bytes - reply0;
+
+  ASSERT_TRUE(after.entry.has_value());
+  EXPECT_EQ(after.entry->value, "changed");
+  EXPECT_TRUE(after.origin.cached);
+  EXPECT_EQ(rig.client(2).registers_engine_read(), engine0) << "served by the cache alone";
+  EXPECT_EQ(rig.node->delta_fills(), 1u);
+  EXPECT_EQ(rig.hop(2).sections_delta(), 1u);
+  EXPECT_EQ(rig.hop(2).sections_rejected(), 0u);
+  EXPECT_LT(fill_bytes, 1'024u) << "the push fill must carry splices, not the partition";
+  EXPECT_LT(reply_bytes, 1'024u) << "the changed slot must be answered with splices";
+}
+
+TEST(CacheDelta, DeltaFillOffTheHeldBaseDropsTheSlotAndAnEngineReadRefillsIt) {
+  CacheRig rig(32);
+  preload(rig, 1, 50);
+  (void)rig.get(2, key_of(1));
+  ASSERT_TRUE(rig.node->holds(1));
+
+  // A publication the cache never sees; the next push fill's base is its
+  // root, not the one the slot holds.
+  rig.client(1).attach_cache(nullptr);
+  rig.put(1, key_of(10), "unseen");
+  rig.client(1).attach_cache(&rig.hop(1));
+  rig.put(1, key_of(11), "next");
+  EXPECT_EQ(rig.node->slots_dropped(), 1u);
+  EXPECT_EQ(rig.node->delta_fills(), 0u);
+  EXPECT_FALSE(rig.node->holds(1)) << "a newer write proves the held slot stale";
+
+  const std::uint64_t engine0 = rig.client(2).registers_engine_read();
+  const CacheRig::Got miss = rig.get(2, key_of(11));
+  ASSERT_TRUE(miss.entry.has_value());
+  EXPECT_EQ(miss.entry->value, "next");
+  EXPECT_GT(rig.client(2).registers_engine_read(), engine0);
+  EXPECT_TRUE(rig.node->holds(1)) << "the engine read's fill re-seeds the slot in full";
+
+  const std::uint64_t engine1 = rig.client(2).registers_engine_read();
+  const CacheRig::Got hit = rig.get(2, key_of(10));
+  ASSERT_TRUE(hit.entry.has_value());
+  EXPECT_EQ(hit.entry->value, "unseen");
+  EXPECT_TRUE(hit.origin.cached);
+  EXPECT_EQ(rig.client(2).registers_engine_read(), engine1);
+  EXPECT_EQ(rig.hop(2).sections_rejected(), 0u);
+}
+
+TEST(CacheDelta, BasesPastTheHistoryOrRunsNoSmallerThanTheValueGetFullHits) {
+  {
+    // Depth: reader 3 is 8 records behind (delta), reader 2 nine (full).
+    CacheRig rig(33);
+    preload(rig, 1, 50);
+    (void)rig.get(2, key_of(0));
+    (void)rig.get(3, key_of(0));
+    rig.put(1, key_of(0), "v1");
+    (void)rig.get(3, key_of(0));
+    for (int v = 2; v <= 9; ++v) rig.put(1, key_of(0), "v" + std::to_string(v));
+    EXPECT_EQ(rig.node->delta_fills(), 9u);
+
+    const std::uint64_t deltas = rig.node->delta_hits();
+    const std::uint64_t hits = rig.node->hits();
+    const CacheRig::Got near = rig.get(3, key_of(0));
+    ASSERT_TRUE(near.entry.has_value());
+    EXPECT_EQ(near.entry->value, "v9");
+    EXPECT_EQ(rig.node->delta_hits(), deltas + 1);
+    EXPECT_EQ(rig.node->hits(), hits);
+
+    const CacheRig::Got far = rig.get(2, key_of(0));
+    ASSERT_TRUE(far.entry.has_value());
+    EXPECT_EQ(far.entry->value, "v9");
+    EXPECT_EQ(rig.node->delta_hits(), deltas + 1);
+    EXPECT_EQ(rig.node->hits(), hits + 1) << "a base older than 8 records gets the value";
+  }
+  {
+    // Size: a 458-byte partition whose puts each ship ~160 B of splices.
+    // Two records behind (~310 B) is a delta, three (~490 B) the value.
+    CacheRig rig(34);
+    rig.put(1, "a", std::string(300, 'a'));
+    (void)rig.get(2, "a");
+    rig.put(1, "b", std::string(120, '1'));
+    (void)rig.get(3, "a");
+    rig.put(1, "b", std::string(120, '2'));
+    rig.put(1, "b", std::string(120, '3'));
+    EXPECT_EQ(rig.client(1).publish_deltas(), 3u);
+
+    const std::uint64_t deltas = rig.node->delta_hits();
+    const std::uint64_t hits = rig.node->hits();
+    const CacheRig::Got near = rig.get(3, "b");
+    ASSERT_TRUE(near.entry.has_value());
+    EXPECT_EQ(near.entry->value, std::string(120, '3'));
+    EXPECT_EQ(rig.node->delta_hits(), deltas + 1);
+
+    const CacheRig::Got far = rig.get(2, "b");
+    ASSERT_TRUE(far.entry.has_value());
+    EXPECT_EQ(far.entry->value, std::string(120, '3'));
+    EXPECT_EQ(rig.node->delta_hits(), deltas + 1);
+    EXPECT_EQ(rig.node->hits(), hits + 1) << "runs no smaller than the value: ship the value";
+  }
+}
+
+TEST(CacheDelta, OutOfBoundsSplicesLeaveTheSlotUnchanged) {
+  CacheRig rig(35);
+  preload(rig, 1, 50);
+  (void)rig.get(2, key_of(3));
+  const crypto::Hash held =
+      ustor::value_digest(ustor::DigestMode::kChunked, rig.client(1).encoded_partition());
+
+  std::vector<FillSection> bogus(1);
+  bogus[0].writer = 1;
+  bogus[0].present = true;
+  bogus[0].writer_ts = 1'000'000;
+  bogus[0].digest = test_hash(0x66);
+  bogus[0].sig = Bytes{1};
+  bogus[0].as_of = 1'000'000;
+  bogus[0].delta = true;
+  bogus[0].base = held;
+  bogus[0].new_size = 5;
+  bogus[0].splices = {ustor::Splice{1u << 30, 0, Bytes{1, 2, 3, 4, 5}}};
+  const std::uint64_t rejected0 = rig.node->fills_rejected();
+  rig.hop(3).fill(std::move(bogus));
+  rig.settle();
+  EXPECT_EQ(rig.node->fills_rejected(), rejected0 + 1);
+  EXPECT_EQ(rig.node->delta_fills(), 0u);
+  EXPECT_EQ(rig.node->slots_dropped(), 0u);
+
+  // The slot still holds what reader 2 verified: "unchanged", no engine.
+  const std::uint64_t unchanged0 = rig.hop(2).sections_unchanged();
+  const std::uint64_t engine0 = rig.client(2).registers_engine_read();
+  const CacheRig::Got got = rig.get(2, key_of(3));
+  ASSERT_TRUE(got.entry.has_value());
+  EXPECT_EQ(got.entry->value, std::string(24, 'd'));
+  EXPECT_GT(rig.hop(2).sections_unchanged(), unchanged0);
+  EXPECT_EQ(rig.client(2).registers_engine_read(), engine0);
+}
+
+TEST(CacheDelta, ClientRebuildsAndVerifiesEveryDeltaSection) {
+  // No node: the test answers the client's lookups itself, with kDelta
+  // sections built from a real writer's publications.
+  ClusterConfig cfg;
+  cfg.n = 2;
+  cfg.seed = 36;
+  cfg.faust.dummy_read_period = 0;
+  cfg.faust.probe_check_period = 0;
+  Cluster cluster(cfg);
+  kv::KvClient writer(cluster.client(1));
+  CacheClient hop(2, kCacheNodeId, cfg.n, cluster.sigs(), cfg.faust.data_digest, cluster.net(),
+                  cluster.exec(), /*lookup_timeout=*/0);
+  const auto publish = [&](const std::string& key) {
+    Timestamp ts = 0;
+    writer.put(key, "value-of-" + key, [&](Timestamp t) { ts = t; });
+    std::size_t steps = 0;
+    while (ts == 0 && steps < 2'000'000 && cluster.sched().step()) ++steps;
+    EXPECT_GT(ts, 0u);
+    return ts;
+  };
+  publish("a");
+  const Bytes base(writer.encoded_partition().begin(), writer.encoded_partition().end());
+  const Timestamp ts = publish("b");
+  const Bytes next(writer.encoded_partition().begin(), writer.encoded_partition().end());
+  const BytesView sig = cluster.client(1).last_write_sig();
+  const auto digest = [](const Bytes& b) {
+    return ustor::value_digest(ustor::DigestMode::kChunked, BytesView(b));
+  };
+
+  std::uint64_t req = 0;
+  const auto serve = [&](std::vector<ustor::Splice> splices, const crypto::Hash& echoed,
+                         std::uint64_t new_size) {
+    std::optional<CacheClient::Section> got;
+    std::vector<CacheClient::Base> bases(2);
+    bases[0] = CacheClient::Base{true, digest(base), [&] { return base; }};
+    hop.lookup(std::move(bases), [&](const CacheClient::Result& r) {
+      got = r.sections[0];
+      if (got->outcome == Outcome::kServed) {
+        EXPECT_EQ(Bytes(got->value.begin(), got->value.end()), next);
+      }
+    });
+    std::vector<OutSection> sections(2);
+    sections[0].status = SectionStatus::kDelta;
+    sections[0].writer_ts = ts;
+    sections[0].digest = digest(next);
+    sections[0].sig = Bytes(sig.begin(), sig.end());
+    sections[0].as_of = ts;
+    sections[0].delta.base_digest = echoed;
+    sections[0].delta.new_size = new_size;
+    sections[0].delta.runs = {std::span<const ustor::Splice>(splices)};
+    hop.on_message(kCacheNodeId, encode_reply(++req, sections));
+    EXPECT_TRUE(got.has_value());
+    return got.has_value() ? got->outcome : Outcome::kMiss;
+  };
+  const std::vector<ustor::Splice> whole = {ustor::Splice{0, base.size(), next}};
+
+  EXPECT_EQ(serve(whole, digest(base), next.size()), Outcome::kServed);
+  EXPECT_EQ(hop.sections_delta(), 1u);
+  EXPECT_EQ(serve(whole, digest(next), next.size()), Outcome::kRejected)
+      << "an echoed base other than the advertised one";
+  EXPECT_EQ(serve({ustor::Splice{base.size() + 1, 0, Bytes{1}}}, digest(base), base.size() + 1),
+            Outcome::kRejected)
+      << "a splice past the end of the base";
+  EXPECT_EQ(serve(whole, digest(base), next.size() + 1), Outcome::kRejected)
+      << "a size the runs do not produce";
+  std::vector<ustor::Splice> tampered = whole;
+  tampered[0].insert.back() ^= 0x01;
+  EXPECT_EQ(serve(tampered, digest(base), next.size()), Outcome::kRejected)
+      << "runs that rebuild other bytes than the signed ones";
+  EXPECT_EQ(hop.sections_delta(), 1u);
+  EXPECT_EQ(hop.sections_rejected(), 4u);
+  EXPECT_FALSE(cluster.any_failed());
+}
+
 // --- api::Store provenance + stability conservatism -------------------------
 
 TEST(CacheStore, CachedGetSurfacesOriginAndIsNeverStable) {
@@ -456,7 +816,12 @@ TEST(CacheDifferential, DigestModeAndCacheAreInvisibleInTheMergedView) {
   // the bypass-cache merged views (and entry-for-entry winners) must be
   // IDENTICAL — the cache and the delta wire are performance, never
   // semantics.
-  const auto run = [](bool with_cache, ustor::DigestMode digest) {
+  // The delta tier runs exactly where publications are deltas: the
+  // kChunked leg with a cache serves kDelta sections and applies delta
+  // fills, the kFlat leg does neither.
+  std::uint64_t delta_sections = 0;
+  std::uint64_t delta_fills = 0;
+  const auto run = [&](bool with_cache, ustor::DigestMode digest) {
     CacheOptions opts = CacheRig::make_opts();
     opts.enabled = with_cache;
     CacheRig rig(29, opts, digest);
@@ -477,13 +842,19 @@ TEST(CacheDifferential, DigestModeAndCacheAreInvisibleInTheMergedView) {
     rig.client(3).erase("gamma", [&](Timestamp) { erased = true; });
     rig.drive(erased);
     rig.settle();
+    delta_sections = rig.node->delta_hits();
+    delta_fills = rig.node->delta_fills();
     return rig.list(1, /*bypass=*/true);
   };
 
   const auto base = run(false, ustor::DigestMode::kFlat);
   EXPECT_EQ(run(false, ustor::DigestMode::kChunked), base);
   EXPECT_EQ(run(true, ustor::DigestMode::kFlat), base);
+  EXPECT_EQ(delta_sections, 0u);
+  EXPECT_EQ(delta_fills, 0u);
   EXPECT_EQ(run(true, ustor::DigestMode::kChunked), base);
+  EXPECT_GE(delta_sections, 1u);
+  EXPECT_GE(delta_fills, 1u);
   ASSERT_FALSE(base.empty());
   ASSERT_TRUE(base.count("beta"));
   EXPECT_EQ(base.at("beta").value, "final");
