@@ -10,7 +10,11 @@
 //   * put throughput at K=16384 stays within ~2x of K=256 on kChunked
 //     (a flat digest re-hashes the whole partition per put);
 //   * single-op get throughput at K=3072/n=3 gains >= 5x from the decode
-//     memo (reads of unchanged registers skip decode AND merge).
+//     memo (reads of unchanged registers skip the partition scan);
+//   * a get is n binary searches, never a merged map (merged_views stays
+//     0), so the mixed workload's throughput, which rebuilds one
+//     partition index after each write, falls far less than the keyspace
+//     grows from K=256 to K=16384.
 //
 // K counts TOTAL keys; with n=3 writers each partition holds ~K/3
 // entries. Engine-level measurement (kv::KvClient over one Cluster, the
@@ -106,17 +110,17 @@ void set_mode_counters(benchmark::State& state, const DeltaRig& rig, double ops)
   state.counters["keys"] = static_cast<double>(state.range(0));
   state.counters["flat"] = static_cast<double>(state.range(1));
   state.counters["ops_per_sec"] = benchmark::Counter(ops, benchmark::Counter::kIsRate);
-  std::uint64_t splices = 0, rebuilds = 0, memo_hits = 0, merged_hits = 0;
+  std::uint64_t splices = 0, rebuilds = 0, memo_hits = 0, merged_views = 0;
   for (const auto& c : rig.kv) {
     splices += c->encode_splices();
     rebuilds += c->encode_rebuilds();
     memo_hits += c->decode_memo_hits();
-    merged_hits += c->merged_cache_hits();
+    merged_views += c->merged_views();
   }
   state.counters["encode_splices"] = static_cast<double>(splices);
   state.counters["encode_rebuilds"] = static_cast<double>(rebuilds);
   state.counters["decode_memo_hits"] = static_cast<double>(memo_hits);
-  state.counters["merged_cache_hits"] = static_cast<double>(merged_hits);
+  state.counters["merged_views"] = static_cast<double>(merged_views);
 }
 
 /// Overwrite-heavy puts into pre-populated partitions of ~K/3 entries.
@@ -180,7 +184,70 @@ void BM_KvDeltaMixed(benchmark::State& state) {
   }
   set_mode_counters(state, rig, static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_KvDeltaMixed)->Args({3072, 0})->Args({3072, 1})->MinTime(0.1);
+BENCHMARK(BM_KvDeltaMixed)
+    ->Args({256, 0})
+    ->Args({3072, 0})
+    ->Args({3072, 1})
+    ->Args({16384, 0})
+    ->MinTime(0.1);
+
+/// The read path's per-snapshot pieces on three 1,024-entry partitions in
+/// perfbench's shape (every writer holds the same keys "k%016llx", values
+/// of 8-64 B): scanning one changed partition (the index) or decoding it
+/// into strings, one get (a binary search per partition) and one list
+/// (the merged map).
+struct ReadShape {
+  ReadShape() {
+    std::vector<std::shared_ptr<const kv::PartitionIndex>> parts;
+    for (int w = 0; w < kWriters; ++w) {
+      kv::Partition p;
+      for (unsigned long long k = 0; k < 1024; ++k) {
+        char key[24];  // a shard holds about every other key of K = 2048
+        std::snprintf(key, sizeof(key), "k%016llx", 2 * k);
+        p.push_back({key, std::string(8 + (k * 7 + w) % 57, static_cast<char>('a' + w)),
+                     k + static_cast<unsigned long long>(w)});
+        if (w == 0) keys.push_back(key);
+      }
+      bytes.push_back(std::make_shared<const Bytes>(kv::encode_partition(p)));
+      parts.push_back(std::make_shared<const kv::PartitionIndex>(bytes.back()));
+    }
+    view = std::make_unique<kv::SnapshotView>(std::move(parts), &merged_views);
+  }
+
+  std::vector<std::shared_ptr<const Bytes>> bytes;
+  std::vector<std::string> keys;
+  std::uint64_t merged_views = 0;
+  std::unique_ptr<kv::SnapshotView> view;
+};
+
+void BM_ReadPartitionScan(benchmark::State& state) {
+  const ReadShape shape;
+  for (auto _ : state) benchmark::DoNotOptimize(kv::index_partition(*shape.bytes[0]));
+  state.counters["bytes"] = static_cast<double>(shape.bytes[0]->size());
+}
+BENCHMARK(BM_ReadPartitionScan)->Unit(benchmark::kMicrosecond)->MinTime(0.1);
+
+void BM_ReadPartitionDecode(benchmark::State& state) {
+  const ReadShape shape;
+  for (auto _ : state) benchmark::DoNotOptimize(kv::decode_partition(*shape.bytes[0]));
+}
+BENCHMARK(BM_ReadPartitionDecode)->Unit(benchmark::kMicrosecond)->MinTime(0.1);
+
+void BM_ReadSnapshotFind(benchmark::State& state) {
+  const ReadShape shape;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(shape.view->find(shape.keys[k]));
+    k = (k + 7919) % shape.keys.size();
+  }
+}
+BENCHMARK(BM_ReadSnapshotFind)->Unit(benchmark::kMicrosecond)->MinTime(0.1);
+
+void BM_ReadSnapshotMerge(benchmark::State& state) {
+  const ReadShape shape;
+  for (auto _ : state) benchmark::DoNotOptimize(shape.view->merge());
+}
+BENCHMARK(BM_ReadSnapshotMerge)->Unit(benchmark::kMicrosecond)->MinTime(0.1);
 
 }  // namespace
 

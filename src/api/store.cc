@@ -324,10 +324,12 @@ void Store::run_step(std::size_t s, std::size_t step_index,
   const bool degraded = step.degraded;
   const auto snapshot_complete =
       [this, s, step_index, plan, ctx, degraded](
-          const std::map<std::string, kv::KvEntry>* merged, Timestamp read_ts,
-          const kv::ReadOrigin& origin) {
-        const bool failed = merged == nullptr;
+          const kv::SnapshotView* view, Timestamp read_ts, const kv::ReadOrigin& origin) {
+        const bool failed = view == nullptr;
         const Timestamp cut = (!failed && read_ts > 0) ? stable_ts(s) : 0;
+        // Gets search the view in place; the merged map is built at most
+        // once per step, and only when the step holds a kList.
+        std::optional<std::map<std::string, kv::KvEntry>> merged;
         {
           std::lock_guard lock(ctx->mu);
           if (failed) ctx->ok = false;
@@ -344,8 +346,7 @@ void Store::run_step(std::size_t s, std::size_t step_index,
                                 : Status::kOk;
               g.read_ts = read_ts;
               if (!failed) {
-                const auto it = merged->find(op.key);
-                if (it != merged->end()) g.entry = it->second;
+                g.entry = view->find(op.key);
                 g.cached = origin.cached;
                 g.as_of = origin.as_of;
                 // Stability claims never attach to cache-served views: a
@@ -358,6 +359,7 @@ void Store::run_step(std::size_t s, std::size_t step_index,
               if (failed) {
                 acc.acc.complete = false;
               } else {
+                if (!merged.has_value()) merged = view->merge();
                 for (const auto& [key, entry] : *merged) {
                   // Home-shard filter: a key can only appear in a foreign
                   // shard's registers under a misbehaving party; it must

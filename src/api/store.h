@@ -21,7 +21,7 @@
 //   * a pipelined, coalescing batch entry point — apply(vector<Op>)
 //     routes each op to its home shard, keeps per-shard program order,
 //     folds adjacent mutations into ONE signed publication and adjacent
-//     reads into ONE merged snapshot per shard, and runs the S per-shard
+//     reads into ONE snapshot per shard, and runs the S per-shard
 //     chains concurrently (genuinely parallel under kThreaded);
 //   * one event subscription — on_event replaces the per-class on_fail /
 //     on_stable hooks: shard failures and stability-cut advances arrive
@@ -109,7 +109,7 @@ struct PutResult {
   Status status = Status::kOk;  ///< typed outcome (D10)
 };
 
-/// Completion of a point lookup (one merged snapshot of the home shard).
+/// Completion of a point lookup (one snapshot of the home shard).
 struct GetResult {
   std::optional<kv::KvEntry> entry;  ///< winning (value, writer, seq), if any
   /// Largest FAUST timestamp among the observing register reads; the
@@ -411,8 +411,8 @@ class Store {
   /// concurrently. Adjacent mutations on one shard coalesce into ONE
   /// publication (sharing its timestamp; every put/erase still draws its
   /// own sequence number, so winners are exactly as if issued
-  /// individually); adjacent reads on one shard share ONE merged
-  /// snapshot. A kList op takes one snapshot on EVERY shard, each at that
+  /// individually); adjacent reads on one shard share ONE snapshot. A
+  /// kList op takes one snapshot on EVERY shard, each at that
   /// shard's current position in the batch. Results arrive in op order.
   void apply(std::vector<Op> ops, BatchHandler done);
 
@@ -492,20 +492,20 @@ class Store {
   virtual void engine_mutate(std::size_t shard, std::vector<kv::KvClient::SeqChange> changes,
                              MutateDone done) = 0;
 
-  /// `done(merged, read_ts, origin)` — one full merged snapshot of shard
-  /// `s` (null when the shard failed). The map is BORROWED: valid only
-  /// for the duration of the callback (it may be the engine's merged-view
-  /// memo, served without a copy — a batch's gets read it in place and
-  /// only kList contributions copy out of it). `origin` is the snapshot's
-  /// cache provenance (kv::ReadOrigin).
-  using SnapshotDone = std::function<void(const std::map<std::string, kv::KvEntry>*,
-                                          Timestamp, const kv::ReadOrigin&)>;
+  /// `done(view, read_ts, origin)` — one snapshot of shard `s`: the n
+  /// partitions it pinned (null when the shard failed). The view is
+  /// BORROWED: valid only for the duration of the callback. A read step
+  /// answers each get with one binary search per partition (find) and
+  /// builds the merged map at most once, only for kList contributions.
+  /// `origin` is the snapshot's cache provenance (kv::ReadOrigin).
+  using SnapshotDone =
+      std::function<void(const kv::SnapshotView*, Timestamp, const kv::ReadOrigin&)>;
   virtual void engine_snapshot(std::size_t shard, SnapshotDone done) = 0;
 
   /// D10 graceful degradation: a cache-only snapshot of shard `s`, taken
   /// while its breaker is open — the shard itself is NOT contacted. It
   /// serves expired-but-held cache entries (flagged via
-  /// origin.cached/as_of), or reports the shard unreachable (null map →
+  /// origin.cached/as_of), or reports the shard unreachable (null view →
   /// Status::kUnavailable) when the cache tier cannot answer or is off.
   virtual void engine_degraded_snapshot(std::size_t shard, SnapshotDone done) = 0;
 

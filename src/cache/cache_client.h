@@ -9,17 +9,17 @@
 // writer's signature over data_payload(writer_ts, digest) is checked
 // through a VerifyCache — so re-serving the same authentic tuple costs
 // one hash, and the O(1) "unchanged" token (digest equals the base the
-// client advertised from its own verified decode memo) costs one memoized
+// client advertised from its own verified memo) costs one memoized
 // signature check and ships no bytes at all.
 //
 // A kDelta section (splice runs against the advertised base) gets the
 // REPLY_DELTA check: the echoed base must be the advertised one, the runs
 // must apply to the base's bytes, and the rebuilt value must rehash to the
 // section's digest under the writer's DATA signature. The base bytes come
-// from the caller (Base::bytes, which the KV layer answers by re-encoding
-// the decoded memo the base was advertised from), so no client keeps a
-// second copy of a partition. Any failure is kRejected — a per-register
-// fallback, never fault evidence (the D6 rule).
+// from the caller (Base::bytes, which the KV layer answers with the
+// verified bytes its memo holds under the advertised digest). Any failure
+// is kRejected — a per-register fallback, never fault evidence (the D6
+// rule).
 //
 // What a Byzantine cache can and cannot do through this filter:
 //   * tampered value bytes or splices / forged digests / forged

@@ -44,6 +44,29 @@ void write_entry_at(Bytes& b, std::size_t off, const PartitionEntry& e) {
   write_u64_at(b, off, e.seq);
 }
 
+std::uint32_t load_u32(const std::uint8_t* p) {
+  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 | std::uint32_t{p[2]} << 16 |
+         std::uint32_t{p[3]} << 24;
+}
+
+std::uint64_t load_u64(const std::uint8_t* p) {
+  return std::uint64_t{load_u32(p)} | std::uint64_t{load_u32(p + 4)} << 32;
+}
+
+/// Entry at `p`, an offset the validator produced (no bounds checks).
+PartitionIndex::Entry entry_at(const std::uint8_t* p) {
+  const std::uint32_t klen = load_u32(p);
+  const std::uint32_t vlen = load_u32(p + 4 + klen);
+  const std::uint8_t* value = p + 8 + klen;
+  return PartitionIndex::Entry{std::string_view(reinterpret_cast<const char*>(p + 4), klen),
+                               std::string_view(reinterpret_cast<const char*>(value), vlen),
+                               load_u64(value + vlen)};
+}
+
+std::string_view as_chars(BytesView b) {
+  return std::string_view(reinterpret_cast<const char*>(b.data()), b.size());
+}
+
 Partition::iterator lower_bound_key(Partition& p, std::string_view key) {
   return std::lower_bound(p.begin(), p.end(), key,
                           [](const PartitionEntry& e, std::string_view k) { return e.key < k; });
@@ -65,28 +88,110 @@ Bytes encode_partition(const Partition& p) {
   return out;
 }
 
-std::optional<Partition> decode_partition(BytesView data) {
+std::optional<std::vector<std::uint32_t>> index_partition(BytesView data) {
+  if (data.size() > UINT32_MAX) return std::nullopt;
   wire::Reader r(data);
   const std::uint32_t count = r.get_u32();
   if (!r.ok() || count > (1u << 20)) return std::nullopt;
-  Partition p;
+  std::vector<std::uint32_t> offsets;
   // Reserve against the structural bound, not the untrusted header: every
   // real entry occupies at least kEntryFixed bytes, so a short forged
   // buffer claiming 2^20 entries cannot force a large allocation.
-  p.reserve(std::min<std::size_t>(count, r.remaining() / kEntryFixed + 1));
-  for (std::uint32_t k = 0; k < count && r.ok(); ++k) {
-    PartitionEntry e;
-    e.key = to_string(r.get_bytes_view());
-    e.value = to_string(r.get_bytes_view());
-    e.seq = r.get_u64();
+  offsets.reserve(std::min<std::size_t>(count, r.remaining() / kEntryFixed + 1));
+  std::string_view prev;
+  for (std::uint32_t k = 0; k < count; ++k) {
+    const std::size_t off = data.size() - r.remaining();
+    const std::string_view key = as_chars(r.get_bytes_view());
+    r.get_bytes_view();  // value
+    r.get_u64();         // seq
     if (!r.ok()) return std::nullopt;
     // Canonical form: encode_partition emits keys in strictly ascending
     // order, so any other order (or a duplicate) is a forgery.
-    if (!p.empty() && e.key <= p.back().key) return std::nullopt;
-    p.push_back(std::move(e));
+    if (k > 0 && key <= prev) return std::nullopt;
+    prev = key;
+    offsets.push_back(static_cast<std::uint32_t>(off));
   }
-  if (!r.ok() || !r.exhausted()) return std::nullopt;
+  if (!r.exhausted()) return std::nullopt;
+  return offsets;
+}
+
+std::optional<Partition> decode_partition(BytesView data) {
+  const auto offsets = index_partition(data);
+  if (!offsets.has_value()) return std::nullopt;
+  Partition p;
+  p.reserve(offsets->size());
+  for (const std::uint32_t off : *offsets) {
+    const PartitionIndex::Entry e = entry_at(data.data() + off);
+    p.push_back(PartitionEntry{std::string(e.key), std::string(e.value), e.seq});
+  }
   return p;
+}
+
+PartitionIndex::PartitionIndex(std::shared_ptr<const Bytes> bytes) : bytes_(std::move(bytes)) {
+  if (auto offsets = index_partition(BytesView(*bytes_))) offsets_ = std::move(*offsets);
+}
+
+PartitionIndex::PartitionIndex(std::shared_ptr<const Bytes> bytes,
+                               std::vector<std::uint32_t> offsets)
+    : bytes_(std::move(bytes)), offsets_(std::move(offsets)) {}
+
+PartitionIndex::Entry PartitionIndex::entry(std::size_t i) const {
+  return entry_at(bytes_->data() + offsets_[i]);
+}
+
+std::optional<PartitionIndex::Entry> PartitionIndex::find(std::string_view key) const {
+  std::size_t lo = 0, hi = offsets_.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    const std::uint8_t* p = bytes_->data() + offsets_[mid];
+    const std::string_view k(reinterpret_cast<const char*>(p + 4), load_u32(p));
+    if (k < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo == offsets_.size()) return std::nullopt;
+  const Entry e = entry(lo);
+  if (e.key != key) return std::nullopt;
+  return e;
+}
+
+std::optional<KvEntry> SnapshotView::find(std::string_view key) const {
+  std::optional<PartitionIndex::Entry> best;
+  ClientId best_writer = 0;
+  for (std::size_t slot = 0; slot < parts_.size(); ++slot) {
+    if (!parts_[slot]) continue;
+    const auto e = parts_[slot]->find(key);
+    // Winner: lexicographically largest (seq, writer); slots ascend, so a
+    // seq tie goes to the later one.
+    if (e.has_value() && (!best.has_value() || e->seq >= best->seq)) {
+      best = e;
+      best_writer = static_cast<ClientId>(slot + 1);
+    }
+  }
+  if (!best.has_value()) return std::nullopt;
+  return KvEntry{std::string(best->value), best_writer, best->seq};
+}
+
+std::map<std::string, KvEntry> SnapshotView::merge() const {
+  ++*merged_views_;
+  std::map<std::string, KvEntry> merged;
+  for (std::size_t slot = 0; slot < parts_.size(); ++slot) {
+    if (!parts_[slot]) continue;
+    const ClientId j = static_cast<ClientId>(slot + 1);
+    const PartitionIndex& part = *parts_[slot];
+    for (std::size_t i = 0; i < part.size(); ++i) {
+      const PartitionIndex::Entry e = part.entry(i);
+      auto [it, inserted] = merged.try_emplace(std::string(e.key));
+      // Winner: lexicographically largest (seq, writer).
+      if (inserted || e.seq > it->second.seq ||
+          (e.seq == it->second.seq && j > it->second.writer)) {
+        it->second = KvEntry{std::string(e.value), j, e.seq};
+      }
+    }
+  }
+  return merged;
 }
 
 Bytes encode_map(const std::map<std::string, std::pair<std::string, std::uint64_t>>& m) {
@@ -123,8 +228,14 @@ BytesView KvClient::encoded_partition() {
 }
 
 Bytes& KvClient::mutable_enc() {
-  // An in-flight publication may still share the buffer (FaustClient
-  // queues ops); clone before patching so its bytes stay frozen.
+  // The own slot's memo shares the last published buffer. This change
+  // supersedes it (the next publication re-seeds the memo), so release
+  // it rather than keep a copy of the buffer alive for it.
+  PartMemo& own = part_memo_[static_cast<std::size_t>(faust_.id() - 1)];
+  if (own.part && own.part->bytes() == enc_) own = PartMemo{};
+  // An in-flight publication or snapshot may still share the buffer
+  // (FaustClient queues ops); clone before patching so its bytes stay
+  // frozen.
   if (enc_.use_count() > 1) enc_ = std::make_shared<Bytes>(*enc_);
   return *enc_;
 }
@@ -277,105 +388,106 @@ void KvClient::apply_with_seqs(const std::vector<SeqChange>& changes, PutHandler
 
 void KvClient::publish(PutHandler done) {
   if (!enc_valid_) rebuild_encoding();
-  std::optional<crypto::Hash> digest;
-  if (chunked()) digest = enc_hasher_.root();
+  // x̄ of the published bytes: the maintained chunk-tree root, or the
+  // flat hash the write would otherwise compute itself.
+  const crypto::Hash digest =
+      chunked() ? enc_hasher_.root()
+                : ustor::value_digest(ustor::DigestMode::kFlat, BytesView(*enc_));
 
   // D6: ship the logged splices instead of the encoding when that is
   // actually smaller. The first publication is always full (it seeds the
   // server's base and the verifiers' chunk trees); after that, per-op
   // bytes track the change set.
   bool delta = false;
-  if (digest.has_value() && published_ > 0 && splice_log_valid_ && !pending_splices_.empty()) {
+  if (chunked() && published_ > 0 && splice_log_valid_ && !pending_splices_.empty()) {
     std::size_t delta_bytes = 0;
     for (const ustor::Splice& s : pending_splices_) delta_bytes += 20 + s.insert.size();
     delta = delta_bytes < enc_->size();
   }
 
-  // D8 writer push fill: once the register write completes, hand the
-  // cache this publication's self-certifying tuple — the exact wire δ
-  // (faust_.last_write_sig()) over the published content, in the
-  // publication's own form. A delta publication's fill carries its
-  // SUBMIT_DELTA body (base root, splices, new root and size); a full
-  // one carries the published bytes (the shared encoding, pinned by the
-  // captured shared_ptr: a later splice clones before mutating while it is
-  // still referenced).
+  // Once the register write completes, the own slot's memo follows it:
+  // this client signed exactly these bytes under `digest`, so they are
+  // what any verified read of its register with that digest returns, and
+  // their offsets are already known (no scan). The buffer is the shared
+  // encoding, pinned here: a splice while the write is in flight clones
+  // it, and one after the memo took it drops the memo (mutable_enc).
+  std::vector<std::uint32_t> offsets(enc_off_.begin(), enc_off_.end());
+  auto published = std::make_shared<const PartitionIndex>(enc_, std::move(offsets));
+
+  // D8 writer push fill: hand the cache this publication's self-certifying
+  // tuple — the exact wire δ (faust_.last_write_sig()) over the published
+  // content, in the publication's own form. A delta publication's fill
+  // carries its SUBMIT_DELTA body (base root, splices, new root and size);
+  // a full one carries the published bytes.
+  std::optional<cache::FillSection> fill;
   if (cache_ != nullptr) {
-    cache::FillSection fill;
-    fill.writer = faust_.id();
-    fill.present = true;
-    fill.digest = digest.has_value()
-                      ? *digest
-                      : ustor::value_digest(ustor::DigestMode::kFlat, BytesView(*enc_));
-    fill.delta = delta;
+    fill.emplace();
+    fill->writer = faust_.id();
+    fill->present = true;
+    fill->digest = digest;
+    fill->delta = delta;
     if (delta) {
-      fill.base = last_pub_root_;
-      fill.new_size = enc_->size();
-      fill.splices = pending_splices_;
+      fill->base = last_pub_root_;
+      fill->new_size = enc_->size();
+      fill->splices = pending_splices_;
     }
-    done = [this, enc = delta ? nullptr : enc_, fill = std::move(fill),
-            done = std::move(done)](Timestamp t) mutable {
-      if (t != 0 && cache_ != nullptr) {
-        fill.writer_ts = t;
+  }
+  PutHandler complete = [this, digest, delta, published = std::move(published),
+                         fill = std::move(fill), done = std::move(done)](Timestamp t) mutable {
+    if (t != 0) {
+      if (fill.has_value() && cache_ != nullptr) {
+        fill->writer_ts = t;
         const BytesView sig = faust_.last_write_sig();
-        fill.sig.assign(sig.begin(), sig.end());
-        if (enc) fill.value = *enc;
-        fill.as_of = t;
+        fill->sig.assign(sig.begin(), sig.end());
+        if (!delta) fill->value = *published->bytes();
+        fill->as_of = t;
         ++cache_push_fills_;
         std::vector<cache::FillSection> fills;
-        fills.push_back(std::move(fill));
+        fills.push_back(std::move(*fill));
         cache_->fill(std::move(fills));
       }
-      if (done) done(t);
-    };
-  }
+      part_memo_[static_cast<std::size_t>(faust_.id() - 1)] =
+          PartMemo{digest, std::move(published)};
+    }
+    if (done) done(t);
+  };
 
+  ++published_;
   if (delta) {
     ++publish_deltas_;
-    ++published_;
-    const crypto::Hash new_root = *digest;
     std::vector<ustor::Splice> splices = std::move(pending_splices_);
     pending_splices_.clear();
     const crypto::Hash base = last_pub_root_;
-    last_pub_root_ = new_root;
-    faust_.write_delta(base, new_root, enc_->size(), std::move(splices),
-                       [done = std::move(done)](Timestamp t) {
-                         if (done) done(t);
-                       });
+    last_pub_root_ = digest;
+    faust_.write_delta(base, digest, enc_->size(), std::move(splices), std::move(complete));
     return;
   }
 
   ++publish_fulls_;
-  ++published_;
   pending_splices_.clear();
   // From a chunked full publication on, incremental splices can be
   // logged against a server-known base.
-  splice_log_valid_ = digest.has_value();
-  if (digest.has_value()) last_pub_root_ = *digest;
+  splice_log_valid_ = chunked();
+  last_pub_root_ = digest;
   // The buffer itself is shared with the write (zero-copy down to the
-  // wire encoding); the next splice clones it iff it is still in flight.
-  faust_.write_shared(enc_, digest, [done = std::move(done)](Timestamp t) {
-    if (done) done(t);
-  });
+  // wire encoding); the next splice clones it iff it is still referenced.
+  faust_.write_shared(enc_, digest, std::move(complete));
 }
 
-void KvClient::snapshot(
-    std::function<void(const std::map<std::string, KvEntry>&, Timestamp, const ReadOrigin&)>
-        done,
-    bool bypass_cache) {
+void KvClient::snapshot(SnapshotHandler done, bool bypass_cache) {
   // Read all n partitions sequentially (the FAUST client runs one op at a
   // time anyway), folding each result as it arrives.
   auto snap = std::make_shared<Snapshot>();
   const std::size_t n = static_cast<std::size_t>(faust_.n());
   snap->parts.resize(n);
-  snap->fps.resize(n);
   snap->resolved.assign(n, false);
   snap->done = std::move(done);
   ++snapshots_total_;
   if (cache_ != nullptr && !bypass_cache) {
     // D8: one bulk verified lookup first; the engine fallback below only
     // touches the registers the cache could not serve. Bases advertise
-    // this client's own verified decode memos, enabling the O(1)
-    // "unchanged" token and arming the bogus-negative rejection.
+    // this client's own verified memos, enabling the O(1) "unchanged"
+    // token and arming the bogus-negative rejection.
     snap->tried_cache = true;
     cache_->lookup(cache_bases(), [this, snap](const cache::CacheClient::Result& res) {
       consume_cache_result(snap, res.sections);
@@ -385,16 +497,24 @@ void KvClient::snapshot(
   read_partition(1, std::move(snap));
 }
 
+std::shared_ptr<const PartitionIndex> KvClient::remember(std::size_t slot,
+                                                         const crypto::Hash& digest,
+                                                         std::shared_ptr<const Bytes> bytes) {
+  ++decode_memo_misses_;
+  auto part = std::make_shared<const PartitionIndex>(std::move(bytes));
+  part_memo_[slot] = PartMemo{digest, part};
+  return part;
+}
+
 std::vector<cache::CacheClient::Base> KvClient::cache_bases() const {
   std::vector<cache::CacheClient::Base> bases(part_memo_.size());
   for (std::size_t slot = 0; slot < bases.size(); ++slot) {
     const PartMemo& memo = part_memo_[slot];
     if (!memo.part) continue;
-    // The base bytes of a kDelta section are this memo re-encoded:
-    // encode_partition inverts decode_partition on every buffer the
-    // latter accepts, and the section's digest check catches the rest.
+    // The base bytes of a kDelta section are the memo's own verified
+    // bytes, pinned by the lookup until its reply arrives.
     bases[slot] = cache::CacheClient::Base{
-        true, memo.fp.digest, [part = memo.part] { return encode_partition(*part); }};
+        true, memo.digest, [bytes = memo.part->bytes()] { return *bytes; }};
   }
   return bases;
 }
@@ -418,16 +538,13 @@ void KvClient::fold_cache_sections(const std::shared_ptr<Snapshot>& snap,
     switch (sec.outcome) {
       case cache::Outcome::kServed: {
         // Verified full value: same trust level as a register read that
-        // passed the DATA check, so it feeds the decode memo too.
-        const PartFp fp{true, sec.digest};
-        auto decoded = decode_partition(sec.value);
-        auto part = std::make_shared<const Partition>(
-            decoded.has_value() ? std::move(*decoded) : Partition{});
-        snap->fps[slot] = fp;
-        snap->parts[slot] = part;
-        PartMemo& memo = part_memo_[slot];
-        memo.fp = fp;
-        memo.part = std::move(part);
+        // passed the DATA check, so it feeds the memo too. A value rebuilt
+        // from a kDelta section is already an owned buffer.
+        snap->parts[slot] =
+            remember(slot, sec.digest,
+                     sec.rebuilt ? sec.rebuilt
+                                 : std::make_shared<const Bytes>(sec.value.begin(),
+                                                                 sec.value.end()));
         snap->resolved[slot] = true;
         ++regs_cache_served_;
         fold_as_of(sec.as_of);
@@ -439,8 +556,7 @@ void KvClient::fold_cache_sections(const std::shared_ptr<Snapshot>& snap,
         // snapshot refreshed it meanwhile — then fall through to an
         // engine read rather than serve content we no longer hold.
         const PartMemo& memo = part_memo_[slot];
-        if (memo.part && memo.fp.digest == sec.digest) {
-          snap->fps[slot] = memo.fp;
+        if (memo.part && memo.digest == sec.digest) {
           snap->parts[slot] = memo.part;
           snap->resolved[slot] = true;
           ++regs_cache_served_;
@@ -473,7 +589,6 @@ void KvClient::snapshot_degraded(DegradedHandler done) {
   auto snap = std::make_shared<Snapshot>();
   const std::size_t n = static_cast<std::size_t>(faust_.n());
   snap->parts.resize(n);
-  snap->fps.resize(n);
   snap->resolved.assign(n, false);
   snap->tried_cache = true;
   ++snapshots_total_;
@@ -492,13 +607,13 @@ void KvClient::snapshot_degraded(DegradedHandler done) {
             return;
           }
         }
-        snap->done = [done = std::move(done)](const std::map<std::string, KvEntry>& merged,
-                                              Timestamp ts, const ReadOrigin& origin) {
-          done(&merged, ts, origin);
+        snap->done = [done = std::move(done)](const SnapshotView& view, Timestamp ts,
+                                              const ReadOrigin& origin) {
+          done(&view, ts, origin);
         };
         // No engine read ran (max_read_ts == 0, no fills owed): the
-        // shared finisher merges, reports ts = the cache freshness
-        // horizon, and leaves the stability anchor untouched.
+        // shared finisher reports ts = the cache freshness horizon and
+        // leaves the stability anchor untouched.
         finish_snapshot(snap);
       },
       /*allow_stale=*/true);
@@ -535,27 +650,16 @@ void KvClient::read_partition(ClientId j, std::shared_ptr<Snapshot> snap) {
     }
     if (v.has_value()) {
       const std::size_t slot = static_cast<std::size_t>(j - 1);
-      const PartFp fp{true, meta.value_digest};
-      snap->fps[slot] = fp;
-      PartMemo& memo = part_memo_[slot];
-      if (memo.part && memo.fp == fp) {
-        // The verified triple matches a previous decode of byte-identical
-        // content (digest collision resistance): replay it. A tampered
-        // value never gets here — it already failed the DATA-signature
-        // check inside the FAUST/USTOR layer and halted the client.
+      const PartMemo& memo = part_memo_[slot];
+      if (memo.part && memo.digest == meta.value_digest) {
+        // The verified digest matches content indexed before (digest
+        // collision resistance): replay it. A tampered value never gets
+        // here — it already failed the DATA-signature check inside the
+        // FAUST/USTOR layer and halted the client.
         ++decode_memo_hits_;
         snap->parts[slot] = memo.part;
       } else {
-        ++decode_memo_misses_;
-        auto decoded = decode_partition(*v);
-        // A signed-but-undecodable buffer cannot come from a correct
-        // writer; treat it as an empty partition (the pre-memo behaviour
-        // skipped it identically).
-        auto part = std::make_shared<const Partition>(decoded.has_value() ? std::move(*decoded)
-                                                                          : Partition{});
-        snap->parts[slot] = part;
-        memo.fp = fp;
-        memo.part = std::move(part);
+        snap->parts[slot] = remember(slot, meta.value_digest, std::make_shared<const Bytes>(*v));
       }
     }
     read_partition(j + 1, snap);
@@ -579,31 +683,7 @@ void KvClient::finish_snapshot(const std::shared_ptr<Snapshot>& snap) {
   // freshness horizon instead (see GetExHandler).
   const Timestamp ts = snap->max_read_ts > 0 ? snap->max_read_ts : origin.as_of;
   if (snap->tried_cache && snap->max_read_ts == 0) ++snapshots_cached_;
-  if (merged_cache_ && snap->fps == merged_fps_) {
-    // Every register returned the same verified content the cached merge
-    // was built from: serve it without merging (the read-heavy steady
-    // state of a get).
-    ++merged_cache_hits_;
-    const auto cache = merged_cache_;  // pin across the user callback
-    snap->done(*cache, ts, origin);
-    return;
-  }
-  auto merged = std::make_shared<std::map<std::string, KvEntry>>();
-  for (std::size_t slot = 0; slot < snap->parts.size(); ++slot) {
-    if (!snap->parts[slot]) continue;
-    const ClientId j = static_cast<ClientId>(slot + 1);
-    for (const PartitionEntry& e : *snap->parts[slot]) {
-      auto [it, inserted] = merged->try_emplace(e.key);
-      // Winner: lexicographically largest (seq, writer).
-      if (inserted || e.seq > it->second.seq ||
-          (e.seq == it->second.seq && j > it->second.writer)) {
-        it->second = KvEntry{e.value, j, e.seq};
-      }
-    }
-  }
-  merged_cache_ = merged;
-  merged_fps_ = snap->fps;
-  snap->done(*merged, ts, origin);
+  snap->done(SnapshotView(std::move(snap->parts), &merged_views_), ts, origin);
 }
 
 void KvClient::get(const std::string& key, GetHandler done) {
@@ -620,22 +700,17 @@ void KvClient::list(ListHandler done) {
 
 void KvClient::get_ex(const std::string& key, bool bypass_cache, GetExHandler done) {
   snapshot(
-      [key, done = std::move(done)](const std::map<std::string, KvEntry>& merged, Timestamp ts,
+      [key, done = std::move(done)](const SnapshotView& view, Timestamp ts,
                                     const ReadOrigin& origin) {
-        const auto it = merged.find(key);
-        if (it == merged.end()) {
-          done(std::nullopt, ts, origin);
-        } else {
-          done(it->second, ts, origin);
-        }
+        done(view.find(key), ts, origin);
       },
       bypass_cache);
 }
 
 void KvClient::list_ex(bool bypass_cache, ListExHandler done) {
   snapshot(
-      [done = std::move(done)](const std::map<std::string, KvEntry>& merged, Timestamp ts,
-                               const ReadOrigin& origin) { done(merged, ts, origin); },
+      [done = std::move(done)](const SnapshotView& view, Timestamp ts,
+                               const ReadOrigin& origin) { done(view.merge(), ts, origin); },
       bypass_cache);
 }
 

@@ -17,12 +17,15 @@
 // tracks the CHANGE SET, not the keyspace. A put patches the single
 // affected entry's bytes in the kept canonical encoding (the sorted-key
 // format makes splice offsets computable) and, under chunked DATA
-// digests, re-hashes only the touched chunks; a get whose registers
-// return unchanged verified (writer, timestamp, digest) triples skips
-// decoding — and when EVERY register is unchanged, the whole merge — via
-// version-keyed memos. The differential tests pin published bytes against
-// encode_partition() of an in-memory model and merged views against
-// kFlat deployments and models.
+// digests, re-hashes only the touched chunks. A reader keeps each
+// writer's partition as its verified bytes plus an index of entry
+// offsets (PartitionIndex), memoized by the verified digest, so a
+// register that returns unchanged content costs no scan at all; a get is
+// then one binary search per partition over the snapshot's pinned
+// indexes (SnapshotView::find), and only list builds a merged map. The
+// differential tests pin published bytes against encode_partition() of
+// an in-memory model and merged views against kFlat deployments and
+// models.
 #pragma once
 
 #include <algorithm>
@@ -86,10 +89,72 @@ using Partition = std::vector<PartitionEntry>;
 /// Serialization of a partition (canonical: ascending keys, unique).
 Bytes encode_partition(const Partition& p);
 
-/// Strict decode: nullopt on malformed bytes, out-of-order or duplicate
-/// keys, or trailing garbage (any such buffer is a forgery, not a
-/// partition — encode_partition never produces it).
+/// The one partition validator: one scan that returns the byte offset of
+/// every entry, or nullopt on malformed bytes (a count above 2^20, a
+/// length past the end), out-of-order or duplicate keys, or trailing
+/// garbage — any such buffer is a forgery, not a partition;
+/// encode_partition never produces it. Offsets are u32: a register value
+/// travels behind a u32 length prefix, so a larger buffer is never one.
+std::optional<std::vector<std::uint32_t>> index_partition(BytesView data);
+
+/// Strict decode into strings (tests and models): exactly the buffers
+/// index_partition accepts.
 std::optional<Partition> decode_partition(BytesView data);
+
+/// A verified partition kept as its canonical bytes plus the offset of
+/// each entry, immutable once built. Readers hold these instead of decoded
+/// strings: a lookup binary-searches the offsets and compares keys in
+/// place, and only what a caller keeps is copied out.
+class PartitionIndex {
+ public:
+  struct Entry {
+    std::string_view key;
+    std::string_view value;
+    std::uint64_t seq = 0;
+  };
+
+  /// Indexes `bytes` with index_partition. A buffer it rejects is kept
+  /// with no entries: signed content no correct writer produces reads as
+  /// an empty partition.
+  explicit PartitionIndex(std::shared_ptr<const Bytes> bytes);
+
+  /// No scan: `offsets` are the entry offsets of `bytes`, known because
+  /// this client encoded them itself.
+  PartitionIndex(std::shared_ptr<const Bytes> bytes, std::vector<std::uint32_t> offsets);
+
+  std::size_t size() const { return offsets_.size(); }
+  Entry entry(std::size_t i) const;
+  /// Binary search; nullopt when `key` is absent.
+  std::optional<Entry> find(std::string_view key) const;
+  /// The verified bytes (the kDelta base a cache lookup advertises).
+  const std::shared_ptr<const Bytes>& bytes() const { return bytes_; }
+
+ private:
+  std::shared_ptr<const Bytes> bytes_;
+  std::vector<std::uint32_t> offsets_;
+};
+
+/// The n partitions one snapshot pinned ([j-1]; null = ⊥), valid only
+/// within the handler it is passed to.
+class SnapshotView {
+ public:
+  SnapshotView(std::vector<std::shared_ptr<const PartitionIndex>> parts,
+               std::uint64_t* merged_views)
+      : parts_(std::move(parts)), merged_views_(merged_views) {}
+
+  /// The winning entry for `key`, the largest (seq, writer) among the
+  /// partitions holding it: one binary search per partition, no
+  /// allocation but the winner's value.
+  std::optional<KvEntry> find(std::string_view key) const;
+
+  /// The whole merged keyspace (lists). Counted by the owning client's
+  /// merged_views().
+  std::map<std::string, KvEntry> merge() const;
+
+ private:
+  std::vector<std::shared_ptr<const PartitionIndex>> parts_;
+  std::uint64_t* merged_views_;
+};
 
 /// Map-based conveniences over the same wire format (tests and models).
 Bytes encode_map(const std::map<std::string, std::pair<std::string, std::uint64_t>>& m);
@@ -154,9 +219,8 @@ class KvClient {
   /// them.
   void apply_with_seqs(const std::vector<SeqChange>& changes, PutHandler done = {});
 
-  /// Merged lookup across all n partitions (issues n register reads; an
-  /// unchanged snapshot is served from the merged-view memo without
-  /// decoding or copying anything).
+  /// Merged lookup across all n partitions: n register reads, then one
+  /// binary search per partition (no merged map is built).
   void get(const std::string& key, GetHandler done);
 
   /// Full merged snapshot across all partitions. The map reference is
@@ -170,13 +234,22 @@ class KvClient {
   void get_ex(const std::string& key, bool bypass_cache, GetExHandler done);
   void list_ex(bool bypass_cache, ListExHandler done);
 
-  /// D10 degraded snapshot handler: `merged` is null when the cache could
+  /// `done(view, read_ts, origin)`: the partitions one snapshot pinned,
+  /// with the same timestamp and provenance rules as GetExHandler. The
+  /// view is valid only within the callback.
+  using SnapshotHandler = std::function<void(const SnapshotView&, Timestamp, const ReadOrigin&)>;
+
+  /// Collects all n registers — through the cache hop first when one is
+  /// attached and not bypassed — and hands `done` the snapshot's view;
+  /// get and list are this plus SnapshotView::find / merge.
+  void snapshot(SnapshotHandler done, bool bypass_cache = false);
+
+  /// D10 degraded snapshot handler: `view` is null when the cache could
   /// not serve EVERY register (the degraded read is unavailable, not
-  /// silently partial); otherwise the map is valid only within the
-  /// callback, `ts` is the cache freshness horizon and `origin.cached` is
-  /// always true.
-  using DegradedHandler =
-      std::function<void(const std::map<std::string, KvEntry>*, Timestamp, const ReadOrigin&)>;
+  /// silently partial); otherwise it is valid only within the callback,
+  /// `ts` is the cache freshness horizon and `origin.cached` is always
+  /// true.
+  using DegradedHandler = std::function<void(const SnapshotView*, Timestamp, const ReadOrigin&)>;
 
   /// Cache-ONLY merged snapshot for when the home shard is unreachable
   /// (DESIGN.md D10): one allow_stale bulk lookup — expired-but-held
@@ -234,12 +307,14 @@ class KvClient {
   /// Publications that patched the kept encoding vs rebuilt it.
   std::uint64_t encode_splices() const { return encode_splices_; }
   std::uint64_t encode_rebuilds() const { return encode_rebuilds_; }
-  /// Register reads whose decoded partition came from / missed the
-  /// version-keyed memo.
+  /// Registers (engine reads and cache sections) whose partition index
+  /// came from / missed the digest-keyed memo. Each miss is one
+  /// validating scan; this client's own publications enter the memo
+  /// without one.
   std::uint64_t decode_memo_hits() const { return decode_memo_hits_; }
   std::uint64_t decode_memo_misses() const { return decode_memo_misses_; }
-  /// Snapshots served whole from the merged-view memo (no merge ran).
-  std::uint64_t merged_cache_hits() const { return merged_cache_hits_; }
+  /// Merged maps built from this client's snapshots (lists only).
+  std::uint64_t merged_views() const { return merged_views_; }
   /// Publications shipped as splice deltas vs full encodings (D6: bytes
   /// per op track the change set once the first full publish seeds the
   /// server's base).
@@ -262,38 +337,29 @@ class KvClient {
   std::uint64_t degraded_unavailable() const { return degraded_unavailable_; }
 
  private:
-  /// Verified fingerprint of one register's content: what the decode memo
-  /// is keyed by. Only values that passed the DATA-signature check (which
-  /// binds digest AND writer timestamp) ever produce one, so a hit can
-  /// only replay a previously VERIFIED decode of byte-identical content
-  /// (collision resistance of the digest). The timestamp itself is NOT
-  /// part of the equality: t_j advances on every op of C_j — reads
+  /// One register's indexed content, keyed by its verified digest x̄_j.
+  /// Only values that passed the DATA-signature check (which binds digest
+  /// AND writer timestamp) — or this client's own signed publications —
+  /// ever produce one, so a hit can only replay VERIFIED byte-identical
+  /// content (collision resistance of the digest). The timestamp itself is
+  /// NOT part of the key: t_j advances on every op of C_j — reads
   /// included — while the bytes stand still, so keying on it would
-  /// invalidate unchanged content (the reader's own slot on every
-  /// snapshot, every slot under dummy reads); freshness of t_j is already
-  /// enforced by USTOR's line-51 check before a value ever reaches us.
-  struct PartFp {
-    bool present = false;     // register held a value (not ⊥)
-    crypto::Hash digest{};    // verified x̄_j
-
-    bool operator==(const PartFp&) const = default;
-  };
-
+  /// invalidate unchanged content (every slot under dummy reads);
+  /// freshness of t_j is already enforced by USTOR's line-51 check before
+  /// a value ever reaches us.
   struct PartMemo {
-    PartFp fp;
-    std::shared_ptr<const Partition> part;  // null = no memo yet
+    crypto::Hash digest{};
+    std::shared_ptr<const PartitionIndex> part;  // null = no memo yet
   };
 
   /// In-flight snapshot accumulator (get/list may overlap; each op
-  /// carries its own, and pins the decoded partitions it observed via
+  /// carries its own, and pins the partition indexes it observed via
   /// shared ownership, so a concurrent snapshot refreshing a memo slot
-  /// cannot mutate what this one merges).
+  /// cannot change what this one reads).
   struct Snapshot {
-    std::vector<std::shared_ptr<const Partition>> parts;  // [j-1]; null = ⊥
-    std::vector<PartFp> fps;                              // [j-1]
+    std::vector<std::shared_ptr<const PartitionIndex>> parts;  // [j-1]; null = ⊥
     Timestamp max_read_ts = 0;
-    std::function<void(const std::map<std::string, KvEntry>&, Timestamp, const ReadOrigin&)>
-        done;
+    SnapshotHandler done;
     // D8 cache bookkeeping: slots already resolved by the verified cache
     // lookup (skipped by the engine fallback), whether the lookup was
     // attempted, the min fill-time stamp over cache-served slots, and the
@@ -317,7 +383,8 @@ class KvClient {
   /// Re-encodes own_ from scratch (and rebuilds the chunk tree).
   void rebuild_encoding();
 
-  /// Clones the encoding buffer iff a prior publication still shares it.
+  /// Clones the encoding buffer iff a prior publication or snapshot still
+  /// shares it; drops the own slot's memo of that buffer first.
   Bytes& mutable_enc();
 
   void splice_replace(std::size_t idx);
@@ -330,17 +397,13 @@ class KvClient {
 
   void publish(PutHandler done);
 
-  /// Collects all n registers — through the cache hop first when one is
-  /// attached and not bypassed — then merges (or replays the merged-view
-  /// memo) and calls `done`; the map reference is valid only within the
-  /// callback.
-  void snapshot(
-      std::function<void(const std::map<std::string, KvEntry>&, Timestamp, const ReadOrigin&)>
-          done,
-      bool bypass_cache = false);
+  /// A memo miss: indexes verified `bytes` of slot `slot` (one scan) and
+  /// memoizes the index under `digest`.
+  std::shared_ptr<const PartitionIndex> remember(std::size_t slot, const crypto::Hash& digest,
+                                                 std::shared_ptr<const Bytes> bytes);
 
-  /// What a cache lookup advertises per register: the verified digest of
-  /// each decoded memo, with the memo held to rebuild kDelta sections.
+  /// What a cache lookup advertises per register: the digest of each
+  /// memo, whose verified bytes are the base of a kDelta section.
   std::vector<cache::CacheClient::Base> cache_bases() const;
 
   /// Folds a verified cache lookup result into the snapshot (resolving
@@ -379,9 +442,9 @@ class KvClient {
   crypto::Hash last_pub_root_{};  // chunk-tree root of the last publication
   std::uint64_t published_ = 0;   // publications so far (first must be full)
 
-  std::vector<PartMemo> part_memo_;  // [j-1]: version-keyed decode memo
-  std::shared_ptr<const std::map<std::string, KvEntry>> merged_cache_;
-  std::vector<PartFp> merged_fps_;  // fingerprints merged_cache_ was built from
+  // [j-1]: digest-keyed partition memo. The own slot also follows this
+  // client's completed publications, until the next change drops it.
+  std::vector<PartMemo> part_memo_;
 
   Timestamp last_snapshot_ts_ = 0;
 
@@ -389,7 +452,7 @@ class KvClient {
   std::uint64_t encode_rebuilds_ = 0;
   std::uint64_t decode_memo_hits_ = 0;
   std::uint64_t decode_memo_misses_ = 0;
-  std::uint64_t merged_cache_hits_ = 0;
+  std::uint64_t merged_views_ = 0;
   std::uint64_t publish_deltas_ = 0;
   std::uint64_t publish_fulls_ = 0;
 

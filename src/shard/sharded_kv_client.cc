@@ -230,24 +230,26 @@ void ShardedKvClient::list(ListHandler done, bool bypass_cache) {
   // fire the handler while later shards are still being dispatched.
   fan->waiting = kv_.size();
   for (std::size_t s = 0; s < kv_.size(); ++s) {
-    // A null map: the shard failed — its keys are missing, but the
+    // A null view: the shard failed — its keys are missing, but the
     // healthy shards' results must still be delivered. The fan state is
-    // shared across shard threads, so it is folded under mu_; the user
-    // handler fires outside the lock, from whichever shard finishes last.
+    // shared across shard threads, so it is folded under mu_ (the merge
+    // itself runs before taking it); the user handler fires outside the
+    // lock, from whichever shard finishes last.
     snapshot(s, bypass_cache,
-             [this, s, fan](const std::map<std::string, kv::KvEntry>* m, Timestamp,
-                            const kv::ReadOrigin&) {
+             [this, s, fan](const kv::SnapshotView* view, Timestamp, const kv::ReadOrigin&) {
+               std::map<std::string, kv::KvEntry> merged;
+               if (view != nullptr) merged = view->merge();
                ListHandler done_now;
                ShardedListResult result_now;
                {
                  std::lock_guard lock(mu_);
-                 if (m != nullptr) {
-                   for (const auto& [key, entry] : *m) {
+                 if (view != nullptr) {
+                   for (auto& [key, entry] : merged) {
                      // Home-shard filter: a key can only leak into a
                      // foreign shard's registers under a misbehaving
                      // party; it must not shadow (or resurrect) the home
                      // shard's authoritative entry.
-                     if (home_shard(key) == s) fan->result.entries[key] = entry;
+                     if (home_shard(key) == s) fan->result.entries[key] = std::move(entry);
                    }
                  } else {
                    fan->result.complete = false;
@@ -299,10 +301,11 @@ void ShardedKvClient::snapshot(std::size_t s, bool bypass_cache, SnapshotHandler
           complete(nullptr, 0, kv::ReadOrigin{});
           return;
         }
-        kv.list_ex(bypass_cache, [complete](const std::map<std::string, kv::KvEntry>& m,
-                                            Timestamp ts, const kv::ReadOrigin& origin) {
-          complete(&m, ts, origin);
-        });
+        kv.snapshot(
+            [complete](const kv::SnapshotView& view, Timestamp ts, const kv::ReadOrigin& origin) {
+              complete(&view, ts, origin);
+            },
+            bypass_cache);
       },
       nullptr, 0, kv::ReadOrigin{});
 }

@@ -133,13 +133,13 @@ class ShardedKvClient {
   /// needed publishing or the shard failed); `failed` disambiguates the
   /// two t=0 cases.
   using MutateHandler = std::function<void(Timestamp, bool failed)>;
-  /// `done(merged, read_ts, origin)`: the shard's full merged snapshot,
-  /// or null when the shard failed. The map is borrowed — valid only for
-  /// the duration of the callback (it may be the engine's merged-view
-  /// memo, served without a copy). `origin` carries the snapshot's cache
+  /// `done(view, read_ts, origin)`: the partitions of the shard's
+  /// snapshot (kv::SnapshotView: find for a key, merge for a listing), or
+  /// null when the shard failed. The view is borrowed — valid only for
+  /// the duration of the callback. `origin` carries the snapshot's cache
   /// provenance (kv::ReadOrigin; all-default when the shard failed).
-  using SnapshotHandler = std::function<void(const std::map<std::string, kv::KvEntry>*,
-                                             Timestamp, const kv::ReadOrigin&)>;
+  using SnapshotHandler =
+      std::function<void(const kv::SnapshotView*, Timestamp, const kv::ReadOrigin&)>;
 
   /// Draws one cross-shard sequence ticket. The facade draws tickets at
   /// plan time, in batch program order, so a batch's winners (and exact
@@ -154,16 +154,15 @@ class ShardedKvClient {
   void apply_on_shard(std::size_t s, std::vector<kv::KvClient::SeqChange> changes,
                       MutateHandler done);
 
-  /// One merged snapshot of shard `s` (n register reads), serving any
-  /// number of point lookups and list contributions at a batch's read
-  /// point. Settles with (nullptr, 0, {}) if the shard fails (or its
+  /// One snapshot of shard `s` (n register reads), serving any number of
+  /// point lookups and list contributions at a batch's read point. Settles with (nullptr, 0, {}) if the shard fails (or its
   /// runtime stops) mid-operation.
   void snapshot_on_shard(std::size_t s, SnapshotHandler done);
 
   /// D10 degraded snapshot of shard `s`: cache-ONLY, allow_stale — the
   /// shard's FAUST deployment is never contacted (the caller holds its
   /// breaker open). Settles with (nullptr, 0, {}) when the shard has no
-  /// cache tier or the cache cannot serve every register; a non-null map
+  /// cache tier or the cache cannot serve every register; a non-null view
   /// always has origin.cached set (stale-but-authentic, never stable).
   void snapshot_degraded_on_shard(std::size_t s, SnapshotHandler done);
 

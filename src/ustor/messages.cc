@@ -1,5 +1,8 @@
 #include "ustor/messages.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "wire/encoder.h"
 
 namespace faust::ustor {
@@ -200,17 +203,30 @@ SpliceView get_splice(wire::Reader& r) {
 // produced them. Every bound is checked against the evolving buffer, so a
 // Byzantine splice list can never read or write out of range — it just
 // yields nullopt and the receiver falls back to the full-value path.
+//
+// The buffer is reserved once and each splice is one in-place replace: a
+// same-length splice is a single copy, any other one a single tail move.
 template <typename S>
 std::optional<Bytes> apply_delta_impl(BytesView base, std::span<const S> splices,
                                       std::uint64_t expected_size) {
-  Bytes buf(base.begin(), base.end());
+  // No splice list can grow the base by more than its inserts, so a
+  // larger claimed size fails without reserving anything for it.
+  std::uint64_t reachable = base.size();
+  for (const S& s : splices) reachable += s.insert.size();
+  if (expected_size > reachable) return std::nullopt;
+  Bytes buf;
+  buf.reserve(std::max<std::size_t>(base.size(), static_cast<std::size_t>(expected_size)));
+  buf.assign(base.begin(), base.end());
   for (const S& s : splices) {
-    if (s.offset > buf.size()) return std::nullopt;
-    if (s.erase_len > buf.size() - s.offset) return std::nullopt;
-    const auto at = buf.begin() + static_cast<std::ptrdiff_t>(s.offset);
-    buf.erase(at, at + static_cast<std::ptrdiff_t>(s.erase_len));
-    buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(s.offset), s.insert.begin(),
-               s.insert.end());
+    const std::size_t size = buf.size();
+    if (s.offset > size || s.erase_len > size - s.offset) return std::nullopt;
+    const std::size_t at = static_cast<std::size_t>(s.offset);
+    const std::size_t tail = at + static_cast<std::size_t>(s.erase_len);
+    const std::size_t insert_end = at + s.insert.size();
+    if (insert_end > tail) buf.resize(size + (insert_end - tail));
+    if (insert_end != tail) std::memmove(buf.data() + insert_end, buf.data() + tail, size - tail);
+    if (insert_end < tail) buf.resize(size - (tail - insert_end));
+    if (!s.insert.empty()) std::memcpy(buf.data() + at, s.insert.data(), s.insert.size());
   }
   if (buf.size() != expected_size) return std::nullopt;
   return buf;

@@ -141,7 +141,12 @@ TEST_P(RejectedDeltaDistortion, ClientRejectsDeltaSectionsFallsBackAndNobodyIsCo
   for (int round = 0; round < 4; ++round) {
     const std::string want = "payload-" + std::to_string(round);
     rig.put(1, "k", want);
-    for (ClientId reader = 1; reader <= 3; ++reader) {
+    // The writer reads last: its own slot follows its publications, so it
+    // advertises the current digest and is answered with the unchanged
+    // token. Under kForgeDigest / kForgeSig that token is forged too, and
+    // the fallback read it causes refills the slot under a newer binding
+    // with a fresh history — after that no trailing reader gets a delta.
+    for (const ClientId reader : {ClientId{2}, ClientId{3}, ClientId{1}}) {
       const EvilRig::Got got = rig.get(reader, "k");
       ASSERT_TRUE(got.completed) << "round " << round << " reader " << int(reader);
       ASSERT_TRUE(got.entry.has_value());

@@ -775,6 +775,61 @@ TEST(CacheDelta, ClientRebuildsAndVerifiesEveryDeltaSection) {
   EXPECT_FALSE(cluster.any_failed());
 }
 
+TEST(CacheDelta, WritersOwnSlotFollowsItsPublications) {
+  // A writer that reads back its own register after each put must not pull
+  // its own splices through the cache: its memo already holds the bytes it
+  // signed, so the lookup advertises the current digest and the cache
+  // answers with the unchanged token.
+  CacheRig rig(38);
+  for (int round = 0; round < 5; ++round) {
+    rig.put(1, key_of(round % 2), "round-" + std::to_string(round));
+    const std::uint64_t unchanged0 = rig.hop(1).sections_unchanged();
+    const std::uint64_t engine0 = rig.client(1).registers_engine_read();
+    const CacheRig::Got got = rig.get(1, key_of(round % 2));
+    ASSERT_TRUE(got.entry.has_value());
+    EXPECT_EQ(got.entry->value, "round-" + std::to_string(round));
+    // Slots 2 and 3 are ⊥ (misses, then negatives): only the own slot can
+    // be unchanged.
+    EXPECT_EQ(rig.hop(1).sections_unchanged(), unchanged0 + 1u) << "round " << round;
+    EXPECT_EQ(rig.hop(1).sections_delta(), 0u) << "round " << round;
+    if (round > 0) EXPECT_EQ(rig.client(1).registers_engine_read(), engine0);
+  }
+  EXPECT_EQ(rig.hop(1).sections_rejected(), 0u);
+
+  // Without a cache the writer's engine read of its own register returns
+  // the digest it published: a memo hit, no scan.
+  ClusterConfig cfg;
+  cfg.n = 3;
+  cfg.seed = 39;
+  cfg.faust.dummy_read_period = 0;
+  cfg.faust.probe_check_period = 0;
+  Cluster cluster(cfg);
+  kv::KvClient writer(cluster.client(1));
+  const auto drive = [&](const bool& done) {
+    std::size_t steps = 0;
+    while (!done && steps < 2'000'000 && cluster.sched().step()) ++steps;
+    ASSERT_TRUE(done);
+  };
+  for (int round = 0; round < 5; ++round) {
+    bool put_done = false;
+    writer.put(key_of(round % 2), "round-" + std::to_string(round),
+               [&](Timestamp) { put_done = true; });
+    drive(put_done);
+    const std::uint64_t hits0 = writer.decode_memo_hits();
+    bool got_done = false;
+    std::optional<kv::KvEntry> got;
+    writer.get(key_of(round % 2), [&](std::optional<kv::KvEntry> e, Timestamp) {
+      got = std::move(e);
+      got_done = true;
+    });
+    drive(got_done);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->value, "round-" + std::to_string(round));
+    EXPECT_EQ(writer.decode_memo_hits(), hits0 + 1u) << "round " << round;
+    EXPECT_EQ(writer.decode_memo_misses(), 0u) << "round " << round;
+  }
+}
+
 // --- api::Store provenance + stability conservatism -------------------------
 
 TEST(CacheStore, CachedGetSurfacesOriginAndIsNeverStable) {

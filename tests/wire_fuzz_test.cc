@@ -299,6 +299,71 @@ TEST(WireFuzz, ApplyDeltaRejectsOutOfBoundsSplicesAndSizeLies) {
   }
 }
 
+/// apply_delta as it was before it spliced in place: copy the base, then
+/// erase and insert per splice. Kept as the reference the in-place version
+/// must agree with.
+std::optional<Bytes> reference_apply_delta(BytesView base, std::span<const Splice> splices,
+                                           std::uint64_t expected_size) {
+  Bytes buf(base.begin(), base.end());
+  for (const Splice& s : splices) {
+    if (s.offset > buf.size()) return std::nullopt;
+    if (s.erase_len > buf.size() - s.offset) return std::nullopt;
+    const auto at = buf.begin() + static_cast<std::ptrdiff_t>(s.offset);
+    buf.erase(at, at + static_cast<std::ptrdiff_t>(s.erase_len));
+    buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(s.offset), s.insert.begin(),
+               s.insert.end());
+  }
+  if (buf.size() != expected_size) return std::nullopt;
+  return buf;
+}
+
+TEST(WireFuzz, ApplyDeltaInPlaceMatchesEraseInsertReference) {
+  // Random splice lists: mostly in range (same-length, growing and
+  // shrinking replaces, pure inserts and erases), some with an offset or
+  // erase length past the evolving buffer, and expected sizes that are
+  // right, off by one, or far too large. Both must give the same bytes or
+  // both nullopt, for the owned and the view splice forms.
+  Rng rng(29);
+  std::size_t applied = 0, refused = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    Bytes base(rng.next_below(64));
+    for (std::uint8_t& b : base) b = static_cast<std::uint8_t>(rng.next_below(256));
+    std::vector<Splice> splices;
+    std::uint64_t size = base.size();
+    const std::size_t count = rng.next_below(5);
+    for (std::size_t k = 0; k < count; ++k) {
+      Splice sp;
+      const bool wild = rng.chance(0.1);
+      sp.offset = wild ? size + rng.next_below(3) : rng.next_below(size + 1);
+      const std::uint64_t room = sp.offset <= size ? size - sp.offset : 0;
+      sp.erase_len = rng.chance(0.1) ? room + 1 + rng.next_below(2) : rng.next_below(room + 1);
+      const std::size_t len =
+          rng.chance(0.3) ? static_cast<std::size_t>(sp.erase_len) : rng.next_below(12);
+      sp.insert.resize(len);
+      for (std::uint8_t& b : sp.insert) b = static_cast<std::uint8_t>(rng.next_below(256));
+      if (sp.offset <= size && sp.erase_len <= room) size = size - sp.erase_len + len;
+      splices.push_back(std::move(sp));
+    }
+    std::uint64_t expected = size;
+    switch (rng.next_below(6)) {
+      case 0: expected = size + 1; break;
+      case 1: expected = size == 0 ? 0 : size - 1; break;
+      case 2: expected = std::uint64_t{1} << 62; break;
+      default: break;
+    }
+    const auto want = reference_apply_delta(BytesView(base), splices, expected);
+    const auto got = apply_delta(BytesView(base), std::span<const Splice>(splices), expected);
+    ASSERT_EQ(got, want) << "trial " << trial;
+    std::vector<SpliceView> views;
+    for (const Splice& sp : splices) views.push_back({sp.offset, sp.erase_len, BytesView(sp.insert)});
+    ASSERT_EQ(apply_delta(BytesView(base), std::span<const SpliceView>(views), expected), want)
+        << "trial " << trial;
+    (want.has_value() ? applied : refused) += 1;
+  }
+  EXPECT_GT(applied, 1000u);
+  EXPECT_GT(refused, 1000u);
+}
+
 TEST(WireFuzz, KvMapCodecRejectsTruncationFlipsToCanonicalOnly) {
   using kv::decode_map;
   using kv::encode_map;
