@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "faust/cluster.h"
+#include "shard/sharded_cluster.h"
 #include "sim/scheduler.h"
 
 namespace faust::api {
@@ -107,6 +109,127 @@ bool StoreCore::breaker_open(std::size_t shard) {
 
 }  // namespace detail
 
+// --- The engine: one KvClient per shard, armed before dispatch -------------
+
+Store::Store(std::vector<Cluster*> shards, shard::ShardRouter router, ClientId id)
+    : router_(std::move(router)),
+      id_(id),
+      shards_(shards.size()),
+      core_(std::make_shared<detail::StoreCore>()) {
+  FAUST_CHECK(!shards.empty() && router_.shards() == shards.size());
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    shards_[s].cluster = shards[s];
+    shards_[s].kv = std::make_unique<kv::KvClient>(shards[s]->client(id_));
+  }
+  if (shards[0]->simulated()) {
+    core_->mode = detail::StoreCore::Mode::kStep;
+    core_->sched = &shards[0]->sched();
+  } else {
+    core_->mode = detail::StoreCore::Mode::kBlock;
+  }
+  // Per shard, one install on the shard's own thread (the cache hop
+  // attaches to the shard's transport, and the FaustClient's handlers are
+  // read by its runtime): wire the D8 edge-cache hop, and chain fail_i and
+  // stable_i behind whatever handlers the harness installed before us. A
+  // shard whose runtime is already stopped stays uncached and unhooked,
+  // and is not "restored" at destruction.
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& sh = shards_[s];
+    sh.hooked = sh.cluster->run_sync([this, s, &sh] {
+      Cluster& c = *sh.cluster;
+      FaustClient& f = c.client(id_);
+      if (c.cache_options().enabled) {
+        sh.cache = std::make_unique<cache::CacheClient>(
+            id_, cache::kCacheNodeId, c.n(), c.sigs(), f.config().data_digest, c.transport(),
+            c.exec(), c.cache_options().lookup_timeout);
+        sh.kv->attach_cache(sh.cache.get());
+      }
+      sh.chained_fail = f.on_fail;
+      sh.chained_stable = f.on_stable;
+      f.on_fail = [this, s](FailureReason reason) {
+        if (shards_[s].chained_fail) shards_[s].chained_fail(reason);
+        settle_failed_shard(s);
+        Event e;
+        e.kind = Event::Kind::kShardFailed;
+        e.shard = s;
+        e.reason = reason;
+        emit(e);
+      };
+      f.on_stable = [this, s](const FaustClient::StabilityCut& w) {
+        if (shards_[s].chained_stable) shards_[s].chained_stable(w);
+        Event e;
+        e.kind = Event::Kind::kStabilityAdvanced;
+        e.shard = s;
+        e.stable_ts = stable_ts(s);
+        emit(e);
+      };
+    });
+  }
+}
+
+Store::~Store() {
+  closing_.store(true, std::memory_order_release);
+  // Undo each shard's install with the same thread rule (inline once its
+  // runtime is stopped): detach the cache hop and give the FaustClient
+  // back the harness's handlers, so no hook reaches this store again.
+  for (Shard& sh : shards_) {
+    if (!sh.hooked) continue;
+    const auto unhook = [this, &sh] {
+      sh.cache.reset();
+      FaustClient& f = sh.cluster->client(id_);
+      f.on_fail = std::move(sh.chained_fail);
+      f.on_stable = std::move(sh.chained_stable);
+    };
+    if (!sh.cluster->run_sync(unhook)) unhook();
+  }
+  // Settle whatever is still in flight: copies of each op's completion
+  // remain queued inside the deployment's callback chains. Settling claims
+  // every pending op, so a delivery the deployment still held would find
+  // nothing left to fire. By the contract above nothing else runs now.
+  for (std::size_t s = 0; s < shards_.size(); ++s) settle_failed_shard(s);
+}
+
+template <typename Body, typename... Args>
+void Store::run_armed(std::size_t s, std::function<void(Args...)> done, Body body,
+                      std::decay_t<Args>... failure) {
+  std::uint64_t id = 0;
+  {
+    std::lock_guard lock(mu_);
+    id = ++next_op_;
+    shards_[s].pending.emplace(id, [done, failure...] {
+      if (done) done(failure...);
+    });
+  }
+  std::function<void(Args...)> complete = [this, s, id, done = std::move(done)](Args... args) {
+    {
+      std::lock_guard lock(mu_);
+      if (shards_[s].pending.erase(id) == 0) return;  // already settled
+    }
+    if (done) done(args...);
+  };
+  Cluster& shard = *shards_[s].cluster;
+  if (shard.simulated()) {
+    body(complete);
+  } else if (shard.exec().post([body = std::move(body), complete]() mutable {
+               body(complete);
+             }) == 0) {
+    complete(failure...);  // runtime stopped: the body never runs
+  }
+}
+
+void Store::settle_failed_shard(std::size_t s) {
+  // Detach first (which claims the ops): an abort thunk runs its op's
+  // handler, which may continue a batch chain (its next step takes the
+  // failed-shard fast path) or fold a result under a batch's lock, so mu_
+  // cannot be held while the thunks run.
+  std::map<std::uint64_t, std::function<void()>> aborts;
+  {
+    std::lock_guard lock(mu_);
+    aborts.swap(shards_[s].pending);
+  }
+  for (auto& [id, abort] : aborts) abort();
+}
+
 // --- Batch planning and execution ------------------------------------------
 //
 // apply() is the ONE operation path: the single-op forms are batches of
@@ -122,7 +245,7 @@ namespace detail {
 struct Step {
   bool is_mutation = false;
   /// D10: a read step planned while the home shard's breaker was open —
-  /// executed via engine_degraded_snapshot (cache-only, shard untouched).
+  /// served by a cache-only snapshot (the shard is not contacted).
   bool degraded = false;
   std::vector<std::size_t> op_indices;  // into the batch's op vector
 };
@@ -140,6 +263,7 @@ struct BatchCtx {
   std::map<std::size_t, ListAcc> lists;
   std::size_t chains_left = 0;
   bool ok = true;
+  bool bypass_cache = false;  // list(done, true): read steps skip the cache tier
   Store::BatchHandler done;
 };
 
@@ -149,6 +273,10 @@ using detail::BatchCtx;
 using detail::Step;
 
 void Store::apply(std::vector<Op> ops, BatchHandler done) {
+  run_batch(std::move(ops), std::move(done), /*bypass_cache=*/false);
+}
+
+void Store::run_batch(std::vector<Op> ops, BatchHandler done, bool bypass_cache) {
   const std::size_t shard_count = shards();
   if (ops.empty()) {
     if (done) done(BatchResult{{}, true});
@@ -158,6 +286,7 @@ void Store::apply(std::vector<Op> ops, BatchHandler done) {
   auto ctx = std::make_shared<BatchCtx>();
   ctx->results.resize(ops.size());
   ctx->op_seqs.resize(ops.size(), 0);
+  ctx->bypass_cache = bypass_cache;
   ctx->done = std::move(done);
 
   // Plan: route every op, coalescing into per-shard step runs, and draw
@@ -194,7 +323,7 @@ void Store::apply(std::vector<Op> ops, BatchHandler done) {
           break;
         }
         own_keys_.insert(op.key);
-        ctx->op_seqs[i] = engine_next_seq();
+        ctx->op_seqs[i] = ++seq_;
         step_for(s, /*mutation=*/true).op_indices.push_back(i);
         break;
       }
@@ -210,7 +339,7 @@ void Store::apply(std::vector<Op> ops, BatchHandler done) {
         // The no-op-erase rule, decided against the plan-time mirror:
         // erasing a key this client does not hold consumes no ticket (and
         // the engines publish nothing for it).
-        if (own_keys_.erase(op.key) > 0) ctx->op_seqs[i] = engine_next_seq();
+        if (own_keys_.erase(op.key) > 0) ctx->op_seqs[i] = ++seq_;
         step_for(s, /*mutation=*/true).op_indices.push_back(i);
         break;
       }
@@ -303,8 +432,7 @@ void Store::run_step(std::size_t s, std::size_t step_index,
       run_step(s, step_index + 1, plan, ctx);
     };
     if (closing_.load(std::memory_order_acquire)) {
-      // begin_close(): settle the rest of the chain without new engine
-      // work (which would re-arm already-drained pending slots).
+      // Closing: settle the rest of the chain without new engine work.
       complete(0, /*failed=*/true);
       return;
     }
@@ -317,7 +445,17 @@ void Store::run_step(std::size_t s, std::size_t step_index,
           op.kind == Op::Kind::kPut ? std::optional<std::string>(op.value) : std::nullopt,
           ctx->op_seqs[i]});
     }
-    engine_mutate(s, std::move(changes), complete);
+    run_armed(
+        s, MutateDone(complete),
+        [this, s, changes = std::move(changes)](MutateDone done) {
+          kv::KvClient& kv = *shards_[s].kv;
+          if (kv.faust().failed()) {
+            done(0, /*failed=*/true);
+            return;
+          }
+          kv.apply_with_seqs(changes, [done](Timestamp t) { done(t, /*failed=*/false); });
+        },
+        0, /*failed=*/true);
     return;
   }
 
@@ -376,16 +514,33 @@ void Store::run_step(std::size_t s, std::size_t step_index,
         run_step(s, step_index + 1, plan, ctx);
       };
   if (closing_.load(std::memory_order_acquire)) {
-    // begin_close(): settle the rest of the chain without new engine
-    // work (which would re-arm already-drained pending slots).
+    // Closing: settle the rest of the chain without new engine work.
     snapshot_complete(nullptr, 0, kv::ReadOrigin{});
     return;
   }
-  if (degraded) {
-    engine_degraded_snapshot(s, snapshot_complete);
-  } else {
-    engine_snapshot(s, snapshot_complete);
-  }
+  run_armed(
+      s, SnapshotDone(snapshot_complete),
+      [this, s, degraded, bypass = ctx->bypass_cache](SnapshotDone done) {
+        kv::KvClient& kv = *shards_[s].kv;
+        if (degraded) {
+          // D10: cache-only, the shard is not contacted. Deliberately no
+          // failed() fast path: verified-stale cache data is no less
+          // authentic after fail_i. It is served flagged, or the whole
+          // snapshot settles null (kUnavailable).
+          kv.snapshot_degraded(std::move(done));
+          return;
+        }
+        if (kv.faust().failed()) {
+          done(nullptr, 0, kv::ReadOrigin{});
+          return;
+        }
+        kv.snapshot(
+            [done](const kv::SnapshotView& view, Timestamp ts, const kv::ReadOrigin& origin) {
+              done(&view, ts, origin);
+            },
+            bypass);
+      },
+      nullptr, 0, kv::ReadOrigin{});
 }
 
 // --- Single-op forms: batches of one ---------------------------------------
@@ -414,12 +569,15 @@ void Store::get(std::string key, GetHandler done) {
   });
 }
 
-void Store::list(ListHandler done) {
+void Store::list(ListHandler done, bool bypass_cache) {
   std::vector<Op> ops;
   ops.push_back(Op::list());
-  apply(std::move(ops), [done = std::move(done)](const BatchResult& b) {
-    if (done) done(b.results[0].list);
-  });
+  run_batch(
+      std::move(ops),
+      [done = std::move(done)](const BatchResult& b) {
+        if (done) done(b.results[0].list);
+      },
+      bypass_cache);
 }
 
 Ticket<PutResult> Store::put(std::string key, std::string value) {
@@ -451,6 +609,16 @@ Ticket<BatchResult> Store::apply(std::vector<Op> ops) {
 
 // --- Stability and failure helpers -----------------------------------------
 
+Timestamp Store::stable_ts(std::size_t s) const {
+  FAUST_CHECK(s < shards_.size());
+  return shards_[s].kv->faust().fully_stable_timestamp();
+}
+
+bool Store::failed(std::size_t s) const {
+  FAUST_CHECK(s < shards_.size());
+  return shards_[s].kv->faust().failed();
+}
+
 bool Store::any_failed() const {
   for (std::size_t s = 0; s < shards(); ++s) {
     if (failed(s)) return true;
@@ -468,6 +636,18 @@ bool Store::stable(const GetResult& r) const {
 bool Store::stable(const PutResult& r) const {
   if (r.failed || r.ts == 0) return false;
   return stable_ts(r.shard) >= r.ts;
+}
+
+// --- Factories -------------------------------------------------------------
+
+std::unique_ptr<Store> open_store(Cluster& cluster, ClientId id) {
+  return std::make_unique<Store>(std::vector<Cluster*>{&cluster}, shard::ShardRouter(1), id);
+}
+
+std::unique_ptr<Store> open_store(shard::ShardedCluster& deployment, ClientId id) {
+  std::vector<Cluster*> shards;
+  for (std::size_t s = 0; s < deployment.shards(); ++s) shards.push_back(&deployment.shard(s));
+  return std::make_unique<Store>(std::move(shards), deployment.router(), id);
 }
 
 }  // namespace faust::api

@@ -1,16 +1,12 @@
 // faust::api::Store — ONE client surface over every deployment shape.
 //
 // The paper's client interface is a single fail-aware store: put/get plus
-// the stable_i / fail_i output actions. After the sharding and threading
-// work the repository grew three divergent C++ surfaces (kv::KvClient,
-// shard::ShardedKvClient, raw FaustClient) with incompatible handler
-// signatures and hand-rolled "step until this flag flips" completion
-// loops in every caller. This facade unifies them (DESIGN.md, decision
-// D4):
+// the stable_i / fail_i output actions. This is that store, and the one
+// client engine over every deployment shape (DESIGN.md, decision D4):
 //
 //   * uniform result structs — PutResult / GetResult / ListResult carry
-//     the same fail/stability context on every backend (a plain
-//     single-deployment get now reports its observing-read timestamp just
+//     the same fail/stability context on every deployment shape (a
+//     single-deployment get reports its observing-read timestamp just
 //     like a sharded one);
 //   * a completion-token model — every operation takes a plain callback
 //     OR returns an awaitable Ticket<T> whose wait()/settle() resolves
@@ -23,18 +19,27 @@
 //     folds adjacent mutations into ONE signed publication and adjacent
 //     reads into ONE snapshot per shard, and runs the S per-shard
 //     chains concurrently (genuinely parallel under kThreaded);
-//   * one event subscription — on_event replaces the per-class on_fail /
-//     on_stable hooks: shard failures and stability-cut advances arrive
-//     through a single handler regardless of deployment shape.
+//   * one event subscription — on_event delivers shard failures and
+//     stability-cut advances through a single handler regardless of
+//     deployment shape.
 //
-// Both open_store() factories build the one backend, which wraps
-// shard::ShardedKvClient (one kv::KvClient per shard): over a
-// shard::ShardedCluster (either execution mode), or over one Cluster as
-// S = 1. The legacy classes stay as the internal engines — and as the
-// independently-testable oracles the differential tests replay against.
+// A store binds client `id` of S shard Clusters placed by a ShardRouter:
+// a shard::ShardedCluster (either execution mode), or one Cluster as
+// S = 1. It owns one kv::KvClient per shard (plus that shard's D8
+// CacheClient when the cache tier is on) and chains its fail_i / stable_i
+// hooks onto each shard's FaustClient. kv::KvClient stays the internal
+// engine — and the independently testable oracle the differential tests
+// replay against.
+//
+// Fail-aware semantics aggregate across shards: fail_i on a shard settles
+// every op in flight there with its failure outcome (the halted
+// FaustClient drops its callbacks) and later ops routed to it complete at
+// once; a key's stability follows only its home shard's cut.
 //
 // Threading contract: one logical client = one issuing thread (the
-// paper's well-formed executions). Callbacks and events fire on the
+// paper's well-formed executions). On threaded shards every engine op is
+// posted onto its home shard's runtime, so the protocol objects are only
+// touched by their own shard thread. Callbacks and events fire on the
 // deployment's executor thread(s): inline/scheduler context when
 // deterministic, shard runtime threads when threaded.
 #pragma once
@@ -51,6 +56,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -58,6 +64,7 @@
 #include "common/ids.h"
 #include "faust/faust_client.h"  // FailureReason
 #include "kvstore/kv_client.h"   // kv::KvEntry, kv::KvChange
+#include "shard/shard_router.h"
 
 namespace faust {
 class Cluster;
@@ -377,10 +384,9 @@ class Ticket {
 
 // --- The store -------------------------------------------------------------
 
-/// The unified fail-aware key-value store. Instances come from the
-/// open_store() factories below; the API is identical regardless of
-/// deployment shape (single / sharded) and execution mode (deterministic
-/// / threaded).
+/// The unified fail-aware key-value store. The API is identical regardless
+/// of deployment shape (single / sharded) and execution mode
+/// (deterministic / threaded).
 class Store {
  public:
   using PutHandler = std::function<void(const PutResult&)>;
@@ -389,12 +395,21 @@ class Store {
   using BatchHandler = std::function<void(const BatchResult&)>;
   using EventHandler = std::function<void(const Event&)>;
 
+  /// Binds client `id` of every cluster in `shards`; `router` places keys
+  /// on them (router.shards() == shards.size()). All shards run in one
+  /// execution mode. The open_store() factories below build this for the
+  /// two deployment shapes. The clusters must outlive the store; at most
+  /// one store (or plain KvClient) per (cluster, id).
+  Store(std::vector<Cluster*> shards, shard::ShardRouter router, ClientId id);
+
   /// Destruction settles every in-flight operation (and with it every
   /// outstanding ticket) with its failure outcome, so handlers are never
-  /// silently dropped. Same contract as the engines underneath: tear the
-  /// store down before (or together with) its deployment, stopping a
-  /// threaded deployment first.
-  virtual ~Store() = default;
+  /// silently dropped, and gives each shard's FaustClient back the
+  /// handlers it had before the store hooked it. Tear the store down
+  /// before (or together with) its deployment, and never step the
+  /// deployment further while the store's FAUST ops are still pending.
+  /// Threaded deployments must be stop()ped (or quiescent) first.
+  ~Store();
 
   Store(const Store&) = delete;
   Store& operator=(const Store&) = delete;
@@ -404,7 +419,10 @@ class Store {
   void put(std::string key, std::string value, PutHandler done);
   void erase(std::string key, PutHandler done);
   void get(std::string key, GetHandler done);
-  void list(ListHandler done);
+  /// `bypass_cache` forces every shard's snapshot through the FAUST
+  /// engine even when the deployment has a cache tier: the authoritative
+  /// view differential oracles compare against.
+  void list(ListHandler done, bool bypass_cache = false);
 
   /// Pipelined batch: ops are routed to their home shards, per-shard
   /// program order is preserved, and the per-shard chains run
@@ -457,13 +475,13 @@ class Store {
 
   // -- Introspection --------------------------------------------------------
 
-  virtual ClientId id() const = 0;
-  virtual std::size_t shards() const = 0;
-  virtual std::size_t home_shard(std::string_view key) const = 0;
+  ClientId id() const { return id_; }
+  std::size_t shards() const { return shards_.size(); }
+  std::size_t home_shard(std::string_view key) const { return router_.shard_of(key); }
   /// The fully-stable timestamp of this client on shard `s`.
-  virtual Timestamp stable_ts(std::size_t shard) const = 0;
+  Timestamp stable_ts(std::size_t shard) const;
   /// fail_i fired on shard `s`. Threaded mode: meaningful at quiescence.
-  virtual bool failed(std::size_t shard) const = 0;
+  bool failed(std::size_t shard) const;
   bool any_failed() const;
 
   /// Re-evaluates an earlier result against the CURRENT stability cut
@@ -472,55 +490,66 @@ class Store {
   bool stable(const GetResult& r) const;
   bool stable(const PutResult& r) const;
 
- protected:
-  Store() : core_(std::make_shared<detail::StoreCore>()) {}
+  /// Shard `s`'s KV engine, for its counters (cache and decode
+  /// diagnostics). Threaded mode: read at quiescence.
+  const kv::KvClient& shard_kv(std::size_t s) const { return *shards_[s].kv; }
 
-  // The engine hooks every backend provides; apply() and the single-op
-  // forms are built on nothing else.
+ private:
+  /// One shard's engine, and the FaustClient handlers its hooks chain to.
+  struct Shard {
+    Cluster* cluster = nullptr;
+    /// The D8 edge-cache hop (null when the tier is off). Declared before
+    /// `kv`, which holds a raw pointer to it, so it is destroyed after.
+    std::unique_ptr<cache::CacheClient> cache;
+    std::unique_ptr<kv::KvClient> kv;
+    /// Abort thunk per in-flight op (guarded by mu_); each fires its op's
+    /// handler with the failure outcome. Taking an entry out claims the
+    /// op, so the abort and the normal completion fire at most once
+    /// between them.
+    std::map<std::uint64_t, std::function<void()>> pending;
+    FaustClient::FailHandler chained_fail;      // the harness's handlers,
+    FaustClient::StableHandler chained_stable;  // restored at destruction
+    bool hooked = false;  // the install ran (its runtime was alive)
+  };
 
-  /// Draws the next sequence ticket from the backend's (cross-shard)
-  /// counter. Called at plan time, in batch program order — which is what
-  /// makes a batch's winners and exact per-entry sequence numbers
-  /// identical on every backend, independent of shard-chain execution
-  /// order.
-  virtual std::uint64_t engine_next_seq() = 0;
-
-  /// `done(ts, failed)` — apply `changes` (with their pre-drawn tickets)
-  /// to shard `s` in one publication (KvClient::apply_with_seqs
-  /// semantics: all-no-op runs publish nothing and report ts=0).
+  /// `done(ts, failed)`: one publication on a shard (KvClient::
+  /// apply_with_seqs semantics: all-no-op runs publish nothing, ts=0).
   using MutateDone = std::function<void(Timestamp ts, bool failed)>;
-  virtual void engine_mutate(std::size_t shard, std::vector<kv::KvClient::SeqChange> changes,
-                             MutateDone done) = 0;
-
-  /// `done(view, read_ts, origin)` — one snapshot of shard `s`: the n
+  /// `done(view, read_ts, origin)`: one snapshot of a shard, the n
   /// partitions it pinned (null when the shard failed). The view is
-  /// BORROWED: valid only for the duration of the callback. A read step
-  /// answers each get with one binary search per partition (find) and
-  /// builds the merged map at most once, only for kList contributions.
-  /// `origin` is the snapshot's cache provenance (kv::ReadOrigin).
+  /// BORROWED: valid only for the duration of the callback.
   using SnapshotDone =
       std::function<void(const kv::SnapshotView*, Timestamp, const kv::ReadOrigin&)>;
-  virtual void engine_snapshot(std::size_t shard, SnapshotDone done) = 0;
 
-  /// D10 graceful degradation: a cache-only snapshot of shard `s`, taken
-  /// while its breaker is open — the shard itself is NOT contacted. It
-  /// serves expired-but-held cache entries (flagged via
-  /// origin.cached/as_of), or reports the shard unreachable (null view →
-  /// Status::kUnavailable) when the cache tier cannot answer or is off.
-  virtual void engine_degraded_snapshot(std::size_t shard, SnapshotDone done) = 0;
+  /// apply(), with list()'s cache bypass for every read step.
+  void run_batch(std::vector<Op> ops, BatchHandler done, bool bypass_cache);
 
-  /// Implementations forward fail_i / stable_i through this.
+  /// Executes one step of a batch's per-shard chain, then recurses to the
+  /// next from the completion callback (see store.cc).
+  void run_step(std::size_t shard, std::size_t step_index,
+                std::shared_ptr<std::vector<std::vector<detail::Step>>> plan,
+                std::shared_ptr<detail::BatchCtx> ctx);
+
+  /// The one engine op path, arm before dispatch: registers the op in
+  /// shard `s`'s pending set on the calling thread, then runs
+  /// `body(complete)` on the shard's executor (inline when simulated,
+  /// posted when threaded). The first of the op's normal completion,
+  /// settle_failed_shard (fail_i, destruction) and a refused post
+  /// (stopped runtime) wins; the last two deliver `failure`. So every
+  /// handler fires exactly once, even when the body never runs.
+  template <typename Body, typename... Args>
+  void run_armed(std::size_t s, std::function<void(Args...)> done, Body body,
+                 std::decay_t<Args>... failure);
+
+  /// Completes every op still in flight on shard `s` with its failure
+  /// outcome: fail_i halts the FaustClient and drops its queued
+  /// callbacks, so without this a handler dispatched before the detection
+  /// would never fire. Runs on shard `s`'s thread (or at destruction).
+  void settle_failed_shard(std::size_t s);
+
   void emit(const Event& e) {
     if (events_) events_(e);
   }
-
-  /// Derived destructors call this FIRST. A batch chain whose current
-  /// step is settled by destruction must not issue its REMAINING steps
-  /// into the tearing-down deployment (they would re-arm pending slots
-  /// after the settle pass drained them, and their tickets would never
-  /// resolve); once closing, run_step synthesizes failure outcomes for
-  /// the rest of the chain inline.
-  void begin_close() { closing_.store(true, std::memory_order_release); }
 
   /// Creates a ticket and issues the op with a callback that resolves it.
   /// `shard` attributes the ticket's wait outcomes to a home shard for
@@ -540,35 +569,46 @@ class Store {
     return Ticket<T>(st);
   }
 
+  const shard::ShardRouter router_;
+  const ClientId id_;
+  std::vector<Shard> shards_;
   std::shared_ptr<detail::StoreCore> core_;
 
- private:
-  /// Executes one step of a batch's per-shard chain, then recurses to the
-  /// next from the completion callback (see store.cc).
-  void run_step(std::size_t shard, std::size_t step_index,
-                std::shared_ptr<std::vector<std::vector<detail::Step>>> plan,
-                std::shared_ptr<detail::BatchCtx> ctx);
+  /// Guards next_op_ and every Shard::pending: the only engine state
+  /// shared across shard threads. Never held across a protocol call or a
+  /// user handler.
+  std::mutex mu_;
+  std::uint64_t next_op_ = 0;
 
-  /// Plan-time mirror of the client's live keys (this store is the only
-  /// writer of its partitions, so the mirror is exact): decides the
-  /// no-op-erase rule without touching shard-thread state. Only the
-  /// issuing thread reads or writes it.
+  /// The cross-shard sequence counter. Tickets are drawn at plan time, in
+  /// issue order, so a batch's winners and exact per-entry sequence
+  /// numbers equal a single deployment's replaying the same ops, whatever
+  /// order the shard chains run in. Only the issuing thread touches it,
+  /// and own_keys_: the plan-time mirror of the client's live keys (this
+  /// store is the only writer of its partitions, so the mirror is exact),
+  /// which decides the no-op-erase rule without touching shard state.
+  std::uint64_t seq_ = 0;
   std::set<std::string> own_keys_;
 
-  std::atomic<bool> closing_{false};  // see begin_close()
+  /// Set first thing in ~Store: a batch chain whose current step the
+  /// settle pass completes must not issue its remaining steps into the
+  /// tearing-down deployment (they would re-arm pending slots after the
+  /// pass drained them); run_step then settles the rest inline.
+  std::atomic<bool> closing_{false};
 
   EventHandler events_;
 };
 
 // --- Factories -------------------------------------------------------------
 
-/// Opens the store of client `id` over a single FAUST deployment. The
-/// cluster must outlive the store; at most one store (or legacy KvClient)
-/// per (cluster, id).
+/// Opens the store of client `id` over a single FAUST deployment: the
+/// store at S = 1. The cluster must outlive the store; at most one store
+/// (or plain KvClient) per (cluster, id).
 std::unique_ptr<Store> open_store(Cluster& cluster, ClientId id);
 
 /// Opens the store of client `id` over a sharded deployment (either
-/// execution mode). Same lifetime rules, against every shard.
+/// execution mode), placed by its router. Same lifetime rules, against
+/// every shard.
 std::unique_ptr<Store> open_store(shard::ShardedCluster& deployment, ClientId id);
 
 }  // namespace faust::api

@@ -162,16 +162,16 @@ void CacheNode::handle_fill(const FillMessageView& m) {
         ++fills_rejected_;  // an older (delayed) fill never regresses
         continue;
       }
-      if (s.writer_ts == e->writer_ts) {
-        if (s.digest != e->digest || s.value.size() > opts_.arena_bytes) {
-          // Conflicting content at the same timestamp: unverifiable from
-          // here. Keep what we have; readers reject whichever side fails
-          // verification.
+      if (s.digest == e->digest) {
+        if (s.value.size() > opts_.arena_bytes) {
           ++fills_rejected_;
           continue;
         }
-        // Re-observation of the held content: refresh TTL + freshness.
-        // Honest fills of one (writer_ts, digest) carry identical bytes,
+        // The held content, re-observed, possibly at a newer writer_ts (a
+        // read op of the writer re-signs δ_j at a new t while its bytes
+        // stand still): take the fill's ts and sig, refresh TTL and
+        // freshness, and keep the delta history, which still leads to
+        // these bytes. Honest fills of one digest carry identical bytes,
         // so different ones mean a side was tampered with, and the held
         // side is the one some reader may just have rejected: take the
         // fill's bytes, and drop the history chained onto the old ones.
@@ -184,10 +184,19 @@ void CacheNode::handle_fill(const FillMessageView& m) {
         } else {
           ++fills_refreshed_;
         }
+        e->writer_ts = s.writer_ts;
+        e->sig.assign(s.sig.begin(), s.sig.end());
         e->filled_at = exec_.now();
         e->as_of = std::max(e->as_of, s.as_of);
         e->last_used = ++lru_clock_;
         enforce_arena();
+        continue;
+      }
+      if (s.writer_ts == e->writer_ts) {
+        // Conflicting content at the same timestamp: unverifiable from
+        // here. Keep what we have; readers reject whichever side fails
+        // verification.
+        ++fills_rejected_;
         continue;
       }
     }

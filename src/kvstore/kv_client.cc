@@ -667,10 +667,6 @@ void KvClient::read_partition(ClientId j, std::shared_ptr<Snapshot> snap) {
 }
 
 void KvClient::finish_snapshot(const std::shared_ptr<Snapshot>& snap) {
-  // Only engine reads advance the stability anchor: a fully cache-served
-  // snapshot observed no register read, so it neither advances nor resets
-  // what the stability cut is measured against.
-  if (snap->max_read_ts > 0) last_snapshot_ts_ = snap->max_read_ts;
   if (cache_ != nullptr && snap->tried_cache && !snap->fills.empty()) {
     ++cache_fill_batches_;
     cache_->fill(std::move(snap->fills));

@@ -166,8 +166,10 @@ class KvClient {
  public:
   using PutHandler = std::function<void(Timestamp)>;
   /// `done(entry, read_ts)`: read_ts is the largest FAUST timestamp among
-  /// the observing register reads — the snapshot is *stable* once the
-  /// stability cut covers it (see last_snapshot_ts()).
+  /// the observing register reads. The merged result is *stable* once the
+  /// stability cut covers it: every read that observed the merge is then
+  /// in the linearizable prefix (Def. 5 item 6), and with it the winning
+  /// writes it saw.
   using GetHandler = std::function<void(std::optional<KvEntry>, Timestamp)>;
   using ListHandler = std::function<void(const std::map<std::string, KvEntry>&, Timestamp)>;
   /// Origin-extended variants: additionally deliver the snapshot's
@@ -198,8 +200,8 @@ class KvClient {
   void erase(const std::string& key, PutHandler done = {});
 
   /// One batch change with its sequence number pre-drawn by the caller
-  /// (api::Store draws tickets at plan time, in program order, so that a
-  /// batch's winners are identical on every backend — see store.h).
+  /// (api::Store draws tickets at plan time, in program order, from one
+  /// counter across its shards — see store.h).
   /// seq == 0 marks a no-op (an erase of a key the caller knows is
   /// absent): the change is skipped entirely.
   struct SeqChange {
@@ -284,23 +286,8 @@ class KvClient {
   FaustClient& faust() { return faust_; }
   const FaustClient& faust() const { return faust_; }
 
-  /// Coordination hook for the sharded layer: raises the put counter so
-  /// the next put/erase uses a sequence number > `seen`. A ShardedKvClient
-  /// spreads one logical client over S per-shard KvClients; syncing the
-  /// counters before every op makes the (seq, writer) winner of any
-  /// cross-writer conflict identical to a single-deployment oracle, where
-  /// the counter counts ALL of the client's ops, not just one shard's.
-  void advance_seq(std::uint64_t seen) { put_seq_ = std::max(put_seq_, seen); }
-
   /// Current put counter (the seq the most recent put/erase used).
   std::uint64_t put_seq() const { return put_seq_; }
-
-  /// FAUST timestamp of the most recent completed snapshot (the largest
-  /// read timestamp among its n register reads). A merged get/list result
-  /// is *stable* once the stability cut covers this timestamp: every read
-  /// that observed the merge is then in the linearizable prefix (Def. 5
-  /// item 6), and with it the winning writes it saw.
-  Timestamp last_snapshot_ts() const { return last_snapshot_ts_; }
 
   // --- Diagnostics (the O(change) claims in numbers; tests + benches) ----
 
@@ -445,8 +432,6 @@ class KvClient {
   // [j-1]: digest-keyed partition memo. The own slot also follows this
   // client's completed publications, until the next change drops it.
   std::vector<PartMemo> part_memo_;
-
-  Timestamp last_snapshot_ts_ = 0;
 
   std::uint64_t encode_splices_ = 0;
   std::uint64_t encode_rebuilds_ = 0;

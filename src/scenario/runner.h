@@ -155,10 +155,12 @@ struct ScenarioResult {
 /// key/value/writer/seq stream) — what merged_digest holds.
 crypto::Hash merged_view_digest(const std::map<std::string, kv::KvEntry>& view);
 
-/// Runs one scenario to completion. Ops are issued synchronously (each
-/// driven to completion before the next); a kill event fires after its
-/// op is ISSUED but before it is driven, so in-flight operations ride
-/// through the crash and resume against the recovered server.
+/// Runs one scenario to completion. Each writer is one api::Store over
+/// the deployment, and every op goes through it. Ops are issued
+/// synchronously (each driven to completion before the next); a kill
+/// event fires after its op is ISSUED but before it is driven, so
+/// in-flight operations ride through the crash and resume against the
+/// recovered server.
 ScenarioResult run_scenario(const ScenarioConfig& config);
 
 }  // namespace faust::scenario

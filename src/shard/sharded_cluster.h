@@ -101,9 +101,10 @@ class ShardedCluster {
 
   explicit ShardedCluster(ShardedClusterConfig config = {});
 
-  /// Threaded mode: stop()s every runtime. Any ShardedKvClient bound to
-  /// this deployment must be destroyed (or quiescent) first — see
-  /// ShardedKvClient's destructor contract.
+  /// Threaded mode: stop()s every runtime. Any api::Store bound to this
+  /// deployment must be destroyed first: stop() (or reach quiescence),
+  /// destroy the stores, then the deployment (see ~Store). Returns the
+  /// freed heap to the OS last (glibc's malloc_trim).
   ~ShardedCluster();
 
   ShardedCluster(const ShardedCluster&) = delete;

@@ -19,6 +19,7 @@
 #include "cache/cache_wire.h"
 #include "faust/cluster.h"
 #include "kvstore/kv_client.h"
+#include "ustor/messages.h"
 
 namespace faust::cache {
 namespace {
@@ -699,6 +700,54 @@ TEST(CacheDelta, OutOfBoundsSplicesLeaveTheSlotUnchanged) {
   EXPECT_EQ(got.entry->value, std::string(24, 'd'));
   EXPECT_GT(rig.hop(2).sections_unchanged(), unchanged0);
   EXPECT_EQ(rig.client(2).registers_engine_read(), engine0);
+}
+
+TEST(CacheDelta, SameBytesFilledAtANewerTimestampKeepTheHistory) {
+  // A read op of the writer re-signs δ_1 at a new timestamp while its
+  // bytes stand still, and a reader's engine read then fills that tuple
+  // in full. The slot must take the newer (ts, sig) and keep its delta
+  // history, so a reader whose base trails still gets splices.
+  CacheRig rig(39);
+  preload(rig, 1, 50);
+  (void)rig.get(3, key_of(0));  // reader 3 verifies D0
+  bool done = false;
+  Timestamp written = 0;
+  rig.client(1).put(key_of(0), "v1", [&](Timestamp t) {
+    written = t;
+    done = true;
+  });
+  rig.drive(done);
+  ASSERT_TRUE(done);
+  rig.settle();
+  ASSERT_EQ(rig.node->delta_fills(), 1u);  // D0 -> D1
+
+  const BytesView d1 = rig.client(1).encoded_partition();
+  const crypto::Hash digest = ustor::value_digest(ustor::DigestMode::kChunked, d1);
+  const Timestamp later = written + 1;
+  std::vector<FillSection> full(1);
+  full[0].writer = 1;
+  full[0].present = true;
+  full[0].writer_ts = later;
+  full[0].digest = digest;
+  full[0].sig = rig.cluster->sigs()->sign(1, ustor::data_payload(later, digest));
+  full[0].value.assign(d1.begin(), d1.end());
+  full[0].as_of = later;
+  const std::uint64_t refreshed0 = rig.node->fills_refreshed();
+  rig.hop(2).fill(std::move(full));
+  rig.settle();
+  EXPECT_EQ(rig.node->fills_refreshed(), refreshed0 + 1);
+  EXPECT_EQ(rig.node->slots_dropped(), 0u);
+
+  const std::uint64_t deltas0 = rig.node->delta_hits();
+  const std::uint64_t hits0 = rig.node->hits();
+  const std::uint64_t engine0 = rig.client(3).registers_engine_read();
+  const CacheRig::Got got = rig.get(3, key_of(0));  // advertises D0
+  ASSERT_TRUE(got.entry.has_value());
+  EXPECT_EQ(got.entry->value, "v1");
+  EXPECT_EQ(rig.node->delta_hits(), deltas0 + 1) << "the trailing base must get splices";
+  EXPECT_EQ(rig.node->hits(), hits0);
+  EXPECT_EQ(rig.hop(3).sections_rejected(), 0u) << "the newer (ts, sig) verifies";
+  EXPECT_EQ(rig.client(3).registers_engine_read(), engine0);
 }
 
 TEST(CacheDelta, ClientRebuildsAndVerifiesEveryDeltaSection) {

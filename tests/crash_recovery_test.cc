@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "api/store.h"
 #include "common/rng.h"
 #include "crypto/chunked_hasher.h"
 #include "crypto/sha256.h"
@@ -20,7 +21,6 @@
 #include "faust/cluster.h"
 #include "net/network.h"
 #include "shard/sharded_cluster.h"
-#include "shard/sharded_kv_client.h"
 #include "sim/scheduler.h"
 #include "storage/persistent_server.h"
 #include "storage/snapshot_store.h"
@@ -583,21 +583,21 @@ TEST(CrashRecovery, ShardKillRestartDeterministic) {
   cfg.shard_template.faust.probe_check_period = 0;
   shard::ShardedCluster sc(cfg);
   ASSERT_TRUE(sc.durable());
-  shard::ShardedKvClient kv1(sc, 1);
+  auto kv1 = api::open_store(sc, 1);
 
   const std::string k0 = key_on_shard(sc, 0);
   const std::string k1 = key_on_shard(sc, 1);
 
   bool done = false;
-  kv1.put(k0, "on-0", [&](Timestamp) { done = true; });
+  kv1->put(k0, "on-0", [&](const api::PutResult&) { done = true; });
   ASSERT_TRUE(sc.drive(done));
   done = false;
-  kv1.put(k1, "on-1", [&](Timestamp) { done = true; });
+  kv1->put(k1, "on-1", [&](const api::PutResult&) { done = true; });
   ASSERT_TRUE(sc.drive(done));
 
   // Kill shard 0 with a put to it in flight; restart after a downtime.
   done = false;
-  kv1.put(k0, "across-crash", [&](Timestamp) { done = true; });
+  kv1->put(k0, "across-crash", [&](const api::PutResult&) { done = true; });
   sc.kill_shard(0);
   EXPECT_FALSE(sc.shard_up(0));
   sc.shard_exec(0).after(3'000, [&] { sc.shard(0).restart_server(); });
@@ -606,8 +606,8 @@ TEST(CrashRecovery, ShardKillRestartDeterministic) {
 
   // The healthy shard was untouched; the restarted one serves its keys.
   done = false;
-  shard::ShardedListResult lr;
-  kv1.list([&](const shard::ShardedListResult& r) {
+  api::ListResult lr;
+  kv1->list([&](const api::ListResult& r) {
     lr = r;
     done = true;
   });
@@ -632,11 +632,12 @@ TEST(CrashRecovery, ShardKillRestartThreadedSmoke) {
   cfg.shard_template.faust.dummy_read_period = 0;
   cfg.shard_template.faust.probe_check_period = 0;
   shard::ShardedCluster sc(cfg);
-  shard::ShardedKvClient kv1(sc, 1);
+  auto kv1 = api::open_store(sc, 1);
 
   const std::string k0 = key_on_shard(sc, 0);
   std::atomic<bool> done{false};
-  kv1.put(k0, "before", [&](Timestamp) { done.store(true, std::memory_order_release); });
+  kv1->put(k0, "before",
+           [&](const api::PutResult&) { done.store(true, std::memory_order_release); });
   ASSERT_TRUE(sc.await(done));
 
   // Quiescent kill + immediate restart, both through the cross-thread
@@ -645,20 +646,20 @@ TEST(CrashRecovery, ShardKillRestartThreadedSmoke) {
   sc.restart_shard(0);
 
   done.store(false);
-  kv1.put(k0, "after-restart",
-          [&](Timestamp) { done.store(true, std::memory_order_release); });
+  kv1->put(k0, "after-restart",
+           [&](const api::PutResult&) { done.store(true, std::memory_order_release); });
   ASSERT_TRUE(sc.await(done));
 
   done.store(false);
-  shard::ShardedGetResult got;
-  kv1.get(k0, [&](const shard::ShardedGetResult& r) {
+  api::GetResult got;
+  kv1->get(k0, [&](const api::GetResult& r) {
     got = r;
     done.store(true, std::memory_order_release);
   });
   ASSERT_TRUE(sc.await(done));
   ASSERT_TRUE(got.entry.has_value());
   EXPECT_EQ(got.entry->value, "after-restart");
-  EXPECT_FALSE(got.shard_failed);
+  EXPECT_FALSE(got.failed);
   sc.stop();
   EXPECT_FALSE(sc.any_failed());
 }

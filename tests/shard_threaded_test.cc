@@ -13,9 +13,9 @@
 //      one at a time are deterministic in outcome even when the shard
 //      interleaving is not.
 //   2. Pipelined fan-out: hundreds of in-flight puts/gets/lists issued
-//      across all shards at once (the ShardedKvClient merge paths under
-//      genuine concurrency) all complete, and the final merged view
-//      again equals the model's.
+//      across all shards at once (the api::Store batch chains and list
+//      merge under genuine concurrency) all complete, and the final
+//      merged view again equals the model's.
 //   3. Histories: per-shard register histories recorded with real-time
 //      stamps from concurrent shard threads pass the same
 //      linearizability checker the simulated histories do.
@@ -32,12 +32,12 @@
 #include <string>
 #include <vector>
 
+#include "api/store.h"
 #include "checker/history.h"
 #include "checker/linearizability.h"
 #include "common/rng.h"
 #include "kvstore/kv_client.h"
 #include "shard/sharded_cluster.h"
-#include "shard/sharded_kv_client.h"
 #include "ustor/messages.h"
 
 namespace faust::shard {
@@ -78,9 +78,9 @@ struct Model {
   }
 };
 
-/// A kThreaded deployment plus one ShardedKvClient per logical client.
-/// Destruction stops the shard threads before the clients unwind, per the
-/// ShardedKvClient destructor contract.
+/// A kThreaded deployment plus one api::Store per logical client.
+/// Destruction stops the shard threads before the stores unwind, per the
+/// Store destructor contract.
 struct ThreadedRig {
   ThreadedRig(std::size_t shards, std::uint64_t seed, sim::Time dummy_period = 0) {
     ShardedClusterConfig cfg;
@@ -91,9 +91,7 @@ struct ThreadedRig {
     cfg.shard_template.faust.dummy_read_period = dummy_period;
     cfg.shard_template.faust.probe_check_period = 0;
     cluster = std::make_unique<ShardedCluster>(cfg);
-    for (ClientId i = 1; i <= kClients; ++i) {
-      kv.push_back(std::make_unique<ShardedKvClient>(*cluster, i));
-    }
+    for (ClientId i = 1; i <= kClients; ++i) kv.push_back(api::open_store(*cluster, i));
   }
 
   ~ThreadedRig() { cluster->stop(); }
@@ -105,35 +103,35 @@ struct ThreadedRig {
   void put(ClientId i, const std::string& k, const std::string& v) {
     auto done = std::make_shared<std::atomic<bool>>(false);
     kv[static_cast<std::size_t>(i - 1)]->put(
-        k, v, [done](Timestamp) { done->store(true, std::memory_order_release); });
+        k, v, [done](const api::PutResult&) { done->store(true, std::memory_order_release); });
     ASSERT_TRUE(cluster->await(*done)) << "threaded put timed out";
   }
   void erase(ClientId i, const std::string& k) {
     auto done = std::make_shared<std::atomic<bool>>(false);
     kv[static_cast<std::size_t>(i - 1)]->erase(
-        k, [done](Timestamp) { done->store(true, std::memory_order_release); });
+        k, [done](const api::PutResult&) { done->store(true, std::memory_order_release); });
     ASSERT_TRUE(cluster->await(*done)) << "threaded erase timed out";
   }
-  ShardedGetResult get(ClientId i, const std::string& k) {
+  api::GetResult get(ClientId i, const std::string& k) {
     struct State {
       std::atomic<bool> done{false};
-      ShardedGetResult out;
+      api::GetResult out;
     };
     auto st = std::make_shared<State>();
-    kv[static_cast<std::size_t>(i - 1)]->get(k, [st](const ShardedGetResult& r) {
+    kv[static_cast<std::size_t>(i - 1)]->get(k, [st](const api::GetResult& r) {
       st->out = r;
       st->done.store(true, std::memory_order_release);
     });
     EXPECT_TRUE(cluster->await(st->done)) << "threaded get timed out";
     return st->out;
   }
-  ShardedListResult list(ClientId i) {
+  api::ListResult list(ClientId i) {
     struct State {
       std::atomic<bool> done{false};
-      ShardedListResult out;
+      api::ListResult out;
     };
     auto st = std::make_shared<State>();
-    kv[static_cast<std::size_t>(i - 1)]->list([st](const ShardedListResult& r) {
+    kv[static_cast<std::size_t>(i - 1)]->list([st](const api::ListResult& r) {
       st->out = r;
       st->done.store(true, std::memory_order_release);
     });
@@ -142,7 +140,7 @@ struct ThreadedRig {
   }
 
   std::unique_ptr<ShardedCluster> cluster;
-  std::vector<std::unique_ptr<ShardedKvClient>> kv;
+  std::vector<std::unique_ptr<api::Store>> kv;
 };
 
 void expect_view_equals_model(const std::map<std::string, kv::KvEntry>& got,
@@ -181,7 +179,7 @@ TEST(ShardThreaded, SequentialWorkloadMatchesModel) {
           rig.erase(who, key);
           model.erase(who, key);
         } else {
-          const ShardedGetResult got = rig.get(who, key);
+          const api::GetResult got = rig.get(who, key);
           const auto m = model.merged();
           const auto want = m.find(key);
           ASSERT_EQ(got.entry.has_value(), want != m.end());
@@ -191,11 +189,11 @@ TEST(ShardThreaded, SequentialWorkloadMatchesModel) {
             EXPECT_EQ(got.entry->seq, want->second.seq);
           }
           EXPECT_EQ(got.shard, rig.kv[0]->home_shard(key));
-          EXPECT_FALSE(got.shard_failed);
+          EXPECT_FALSE(got.failed);
         }
         if (op % kCheckEvery == 0 || op == kOps) {
           const ClientId reader = static_cast<ClientId>(1 + rng.next_below(kClients));
-          const ShardedListResult sl = rig.list(reader);
+          const api::ListResult sl = rig.list(reader);
           EXPECT_TRUE(sl.complete);
           expect_view_equals_model(sl.entries, model.merged(), shards, seed, op);
         }
@@ -237,13 +235,13 @@ TEST(ShardThreaded, PipelinedFanOutCompletesAndConverges) {
         const std::string key = "c" + std::to_string(c) + "-k" + std::to_string(k);
         const std::string value = "r" + std::to_string(round) + "-" + key;
         rig.kv[static_cast<std::size_t>(c - 1)]->put(key, value,
-                                                     [&](Timestamp) { op_done(); });
+                                                     [&](const api::PutResult&) { op_done(); });
         model.put(c, key, value);
       }
       // Interleave a fan-out list per client per round: its merge runs
       // concurrently with puts completing on every shard. Snapshot
       // contents are timing-dependent; only completeness is pinned.
-      rig.kv[static_cast<std::size_t>(c - 1)]->list([&](const ShardedListResult& r) {
+      rig.kv[static_cast<std::size_t>(c - 1)]->list([&](const api::ListResult& r) {
         if (r.complete) lists_ok.fetch_add(1, std::memory_order_relaxed);
         op_done();
       });
@@ -253,13 +251,13 @@ TEST(ShardThreaded, PipelinedFanOutCompletesAndConverges) {
   EXPECT_EQ(lists_ok.load(), kRounds * kClients) << "no shard failed; lists must be complete";
   EXPECT_FALSE(rig.cluster->any_failed());
 
-  const ShardedListResult final_view = rig.list(1);
+  const api::ListResult final_view = rig.list(1);
   EXPECT_TRUE(final_view.complete);
-  // Pipelined ops draw their cross-shard seq tickets in shard-thread
-  // execution order, which races across shards — so exact seq numbers
-  // are nondeterministic; the converged (value, writer) per key is not
-  // (per key there is one writer, and its home shard preserves that
-  // writer's issue order).
+  // The Store draws every put's sequence ticket at plan time, on this
+  // thread, in issue order — so even though the shard chains race, each
+  // key's converged (value, writer, seq) is exactly the model's (per key
+  // there is one writer, and its home shard preserves that writer's
+  // issue order).
   const auto want = model.merged();
   ASSERT_EQ(final_view.entries.size(), want.size());
   for (const auto& [key, w] : want) {
@@ -267,6 +265,7 @@ TEST(ShardThreaded, PipelinedFanOutCompletesAndConverges) {
     ASSERT_NE(it, final_view.entries.end()) << "missing key " << key;
     EXPECT_EQ(it->second.value, w.value) << "key " << key;
     EXPECT_EQ(it->second.writer, w.writer) << "key " << key;
+    EXPECT_EQ(it->second.seq, w.seq) << "key " << key;
   }
 }
 
@@ -396,11 +395,17 @@ TEST(ShardThreaded, MidOperationFailureSettlesInFlightOps) {
   std::atomic<bool> failed_surfaced{false};
   std::atomic<bool> crashed{false};
   std::atomic<bool> got{false}, put_done{false}, listed{false};
-  ShardedGetResult gr;
+  api::GetResult gr;
   Timestamp put_ts = 77;
-  ShardedListResult lr;
+  api::ListResult lr;
 
   ThreadedRig rig(2, /*seed=*/31);
+  // Installed before traffic starts: events fire on the shard threads.
+  rig.kv[0]->on_event([&](const api::Event& e) {
+    if (e.kind != api::Event::Kind::kShardFailed) return;
+    EXPECT_EQ(e.shard, 0u);
+    failed_surfaced.store(true, std::memory_order_release);
+  });
   std::string key0, key1;
   for (int k = 0; key0.empty() || key1.empty(); ++k) {
     const std::string key = "mid" + std::to_string(k);
@@ -409,10 +414,6 @@ TEST(ShardThreaded, MidOperationFailureSettlesInFlightOps) {
   rig.put(1, key0, "before");
   rig.put(1, key1, "healthy");
   if (::testing::Test::HasFatalFailure()) return;
-  rig.kv[0]->on_fail = [&](std::size_t shard, FailureReason) {
-    EXPECT_EQ(shard, 0u);
-    failed_surfaced.store(true, std::memory_order_release);
-  };
 
   // Crash the server from the shard's own thread (the network fabric is
   // owned by it), then issue ops that can never complete on their own.
@@ -422,15 +423,15 @@ TEST(ShardThreaded, MidOperationFailureSettlesInFlightOps) {
   });
   ASSERT_TRUE(rig.cluster->await(crashed));
 
-  rig.kv[0]->get(key0, [&](const ShardedGetResult& r) {
+  rig.kv[0]->get(key0, [&](const api::GetResult& r) {
     gr = r;
     got.store(true, std::memory_order_release);
   });
-  rig.kv[0]->put(key0, "after-crash", [&](Timestamp t) {
-    put_ts = t;
+  rig.kv[0]->put(key0, "after-crash", [&](const api::PutResult& r) {
+    put_ts = r.ts;
     put_done.store(true, std::memory_order_release);
   });
-  rig.kv[0]->list([&](const ShardedListResult& r) {
+  rig.kv[0]->list([&](const api::ListResult& r) {
     lr = r;
     listed.store(true, std::memory_order_release);
   });
@@ -443,14 +444,14 @@ TEST(ShardThreaded, MidOperationFailureSettlesInFlightOps) {
   ASSERT_TRUE(rig.cluster->await(got, 60s)) << "in-flight get must settle on fail_i";
   ASSERT_TRUE(rig.cluster->await(put_done, 60s)) << "in-flight put must settle on fail_i";
   ASSERT_TRUE(rig.cluster->await(listed, 60s)) << "fan-out list must deliver healthy shard";
-  EXPECT_TRUE(gr.shard_failed);
+  EXPECT_TRUE(gr.failed);
   EXPECT_EQ(gr.shard, 0u);
   EXPECT_EQ(put_ts, 0u);
   EXPECT_FALSE(lr.complete);
   EXPECT_TRUE(lr.entries.contains(key1));
   EXPECT_FALSE(lr.entries.contains(key0));
-  // The fail hook settles the in-flight ops BEFORE it calls on_fail, so
-  // the three handlers above can fire before the flag is set.
+  // The fail hook settles the in-flight ops BEFORE it emits the event,
+  // so the three handlers above can fire before the flag is set.
   ASSERT_TRUE(rig.cluster->await(failed_surfaced, 60s));
   EXPECT_TRUE(failed_surfaced.load());
 }
@@ -458,12 +459,12 @@ TEST(ShardThreaded, MidOperationFailureSettlesInFlightOps) {
 TEST(ShardThreaded, OpsIssuedAfterStopSettleWithFailureOutcomes) {
   // After stop() every shard runtime refuses posts, so no op body can
   // run. Each handler must still fire exactly once with its failure
-  // outcome (at the latest when the client is destroyed), never be
+  // outcome (at the latest when the store is destroyed), never be
   // silently dropped. Everything below runs on this thread.
   int puts = 0, erases = 0, gets = 0, lists = 0;
   Timestamp put_ts = 77, erase_ts = 77;
-  ShardedGetResult gr;
-  ShardedListResult lr;
+  api::GetResult gr;
+  api::ListResult lr;
   lr.complete = true;
 
   ThreadedRig rig(2, /*seed=*/43);
@@ -471,20 +472,20 @@ TEST(ShardThreaded, OpsIssuedAfterStopSettleWithFailureOutcomes) {
   if (::testing::Test::HasFatalFailure()) return;
   rig.cluster->stop();
 
-  ShardedKvClient& kv = *rig.kv[0];
-  kv.put("k", "after-stop", [&](Timestamp t) {
+  api::Store& kv = *rig.kv[0];
+  kv.put("k", "after-stop", [&](const api::PutResult& r) {
     ++puts;
-    put_ts = t;
+    put_ts = r.ts;
   });
-  kv.erase("k", [&](Timestamp t) {
+  kv.erase("k", [&](const api::PutResult& r) {
     ++erases;
-    erase_ts = t;
+    erase_ts = r.ts;
   });
-  kv.get("k", [&](const ShardedGetResult& r) {
+  kv.get("k", [&](const api::GetResult& r) {
     ++gets;
     gr = r;
   });
-  kv.list([&](const ShardedListResult& r) {
+  kv.list([&](const api::ListResult& r) {
     ++lists;
     lr = r;
   });
@@ -495,7 +496,7 @@ TEST(ShardThreaded, OpsIssuedAfterStopSettleWithFailureOutcomes) {
   EXPECT_EQ(erases, 1);
   EXPECT_EQ(erase_ts, 0u);
   EXPECT_EQ(gets, 1);
-  EXPECT_TRUE(gr.shard_failed);
+  EXPECT_TRUE(gr.failed);
   EXPECT_EQ(gr.shard, rig.cluster->router().shard_of("k"));
   EXPECT_EQ(lists, 1);
   EXPECT_FALSE(lr.complete);

@@ -21,6 +21,7 @@
 // and the unified on_event hook (stability advances, shard failures).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -35,6 +36,7 @@
 #include "faust/cluster.h"
 #include "rt/threaded_runtime.h"
 #include "shard/sharded_cluster.h"
+#include "ustor/messages.h"
 #include "ustor/server.h"
 
 namespace faust::api {
@@ -516,9 +518,8 @@ TEST(StoreApi, StabilityEventsAndStableResults) {
 
 TEST(StoreApi, FailedShardSurfacesThroughEventsAndResults) {
   // Shard 0's provider forks its clients; shard 1 stays correct. The
-  // facade must emit the failure event, flag ops routed to the dead
-  // shard, and keep serving the healthy one — same shape as the legacy
-  // ShardedFailAware pins, now through one API.
+  // store must emit the failure event with the right shard index, flag
+  // ops routed to the dead shard, and keep serving the healthy one.
   shard::ShardedClusterConfig cfg;
   cfg.shards = 2;
   cfg.seed = 17;
@@ -555,6 +556,7 @@ TEST(StoreApi, FailedShardSurfacesThroughEventsAndResults) {
   EXPECT_TRUE(kv1->failed(0));
   EXPECT_FALSE(kv1->failed(1));
   EXPECT_TRUE(kv1->any_failed());
+  EXPECT_FALSE(sc.shard(1).any_failed()) << "healthy shard must be untouched";
 
   const GetResult dead = kv1->get(key0).settle();
   EXPECT_TRUE(dead.failed);
@@ -580,6 +582,130 @@ TEST(StoreApi, FailedShardSurfacesThroughEventsAndResults) {
   EXPECT_FALSE(b.results[1].put.failed);
   ASSERT_TRUE(b.results[2].get.entry.has_value());
   EXPECT_EQ(b.results[2].get.entry->value, "y");
+}
+
+TEST(StoreApi, HarnessFaustHooksChainWhileOpenAndComeBackAtClose) {
+  // The store chains its fail_i / stable_i hooks behind whatever handlers
+  // the harness installed on each FaustClient before open_store, and its
+  // destructor gives those handlers back. While the store is open every
+  // cut and every failure reaches both; once it is gone, only the harness.
+  struct Counts {
+    std::atomic<int> harness_fail{0}, harness_stable{0}, store_fail{0}, store_stable{0};
+  };
+  const auto install_harness = [](Cluster& shard, Counts& c) {
+    FaustClient& f = shard.client(1);
+    f.on_fail = [&c](FailureReason) { ++c.harness_fail; };
+    f.on_stable = [&c](const FaustClient::StabilityCut&) { ++c.harness_stable; };
+  };
+  const auto count_events = [](std::array<Counts, 2>& counts) {
+    return [&counts](const Event& e) {
+      Counts& c = counts[e.shard];
+      if (e.kind == Event::Kind::kShardFailed) {
+        ++c.store_fail;
+      } else {
+        ++c.store_stable;
+      }
+    };
+  };
+  const auto peer_reports_failure = [](Cluster& shard) {
+    shard.mail().post(2, 1, ustor::encode(ustor::FailureMessage{}));  // §6
+  };
+
+  shard::ShardedClusterConfig cfg;
+  cfg.shards = 2;
+  cfg.seed = 61;
+  cfg.shard_template.n = 2;
+  cfg.shard_template.faust.dummy_read_period = 300;  // cuts keep advancing
+  {
+    SCOPED_TRACE("deterministic");
+    std::array<Counts, 2> counts;
+    shard::ShardedCluster sc(cfg);
+    for (std::size_t s = 0; s < 2; ++s) install_harness(sc.shard(s), counts[s]);
+    auto store = open_store(sc, 1);
+    store->on_event(count_events(counts));
+
+    ASSERT_GT(store->put("k", "v").settle().ts, 0u);
+    sc.run_for(50'000);
+    for (std::size_t s = 0; s < 2; ++s) {
+      EXPECT_GT(counts[s].harness_stable.load(), 0) << "shard " << s;
+      EXPECT_EQ(counts[s].store_stable.load(), counts[s].harness_stable.load())
+          << "every cut of shard " << s << " reaches both handlers";
+    }
+    peer_reports_failure(sc.shard(0));
+    sc.run_for(10'000);
+    EXPECT_EQ(counts[0].harness_fail.load(), 1);
+    EXPECT_EQ(counts[0].store_fail.load(), 1);
+    EXPECT_EQ(counts[1].harness_fail.load(), 0);
+    EXPECT_EQ(counts[1].store_fail.load(), 0);
+
+    store.reset();
+    const int harness_stable = counts[1].harness_stable.load();
+    const int store_stable = counts[1].store_stable.load();
+    sc.run_for(50'000);
+    EXPECT_GT(counts[1].harness_stable.load(), harness_stable)
+        << "later cuts must reach the harness handler again";
+    EXPECT_EQ(counts[1].store_stable.load(), store_stable) << "...and nothing else";
+    peer_reports_failure(sc.shard(1));
+    sc.run_for(10'000);
+    EXPECT_EQ(counts[1].harness_fail.load(), 1);
+    EXPECT_EQ(counts[1].store_fail.load(), 0);
+  }
+  {
+    SCOPED_TRACE("threaded: stop, then destroy");
+    cfg.mode = shard::ExecMode::kThreaded;
+    cfg.seed = 62;
+    // Dummy reads off: a cut that advanced before on_event is installed
+    // would read the handler while this thread writes it. Reads of each
+    // other's registers advance the cuts instead.
+    cfg.shard_template.faust.dummy_read_period = 0;
+    cfg.shard_template.faust.probe_check_period = 0;
+    std::array<Counts, 2> counts;
+    shard::ShardedCluster sc(cfg);
+    for (std::size_t s = 0; s < 2; ++s) {
+      ASSERT_TRUE(sc.shard(s).run_sync([&, s] { install_harness(sc.shard(s), counts[s]); }));
+    }
+    auto store = open_store(sc, 1);
+    auto peer = open_store(sc, 2);
+    store->on_event(count_events(counts));
+
+    const auto both_saw_a_cut = [&counts] {
+      for (const Counts& c : counts) {
+        if (c.harness_stable.load() == 0 || c.store_stable.load() == 0) return false;
+      }
+      return true;
+    };
+    std::string key0, key1;
+    for (int k = 0; key0.empty() || key1.empty(); ++k) {
+      const std::string key = "h" + std::to_string(k);
+      (store->home_shard(key) == 0 ? key0 : key1) = key;
+    }
+    for (int round = 0; round < 50 && !both_saw_a_cut(); ++round) {
+      ASSERT_TRUE(store->apply({Op::put(key0, "a"), Op::put(key1, "b")}).wait().ok);
+      ASSERT_TRUE(peer->list().wait().complete);
+      ASSERT_TRUE(store->list().wait().complete);
+    }
+    sc.stop();
+    for (std::size_t s = 0; s < 2; ++s) {
+      EXPECT_GT(counts[s].harness_stable.load(), 0) << "shard " << s;
+      EXPECT_EQ(counts[s].store_stable.load(), counts[s].harness_stable.load())
+          << "every cut of shard " << s << " reaches both handlers";
+    }
+
+    store.reset();  // the runtimes are stopped: the restore runs inline
+    peer.reset();
+    for (std::size_t s = 0; s < 2; ++s) {
+      FaustClient& f = sc.shard(s).client(1);
+      const int harness_stable = counts[s].harness_stable.load();
+      const int store_stable = counts[s].store_stable.load();
+      ASSERT_TRUE(f.on_stable && f.on_fail);
+      f.on_stable(FaustClient::StabilityCut{});
+      f.on_fail(FailureReason::kUstorDetected);
+      EXPECT_EQ(counts[s].harness_stable.load(), harness_stable + 1);
+      EXPECT_EQ(counts[s].harness_fail.load(), 1);
+      EXPECT_EQ(counts[s].store_stable.load(), store_stable) << "shard " << s;
+      EXPECT_EQ(counts[s].store_fail.load(), 0) << "shard " << s;
+    }
+  }
 }
 
 // --- Deadlines, breaker and degradation (D10) -------------------------------

@@ -29,11 +29,11 @@
 #include <vector>
 
 #include "adversary/delta_tamper_server.h"
+#include "api/store.h"
 #include "common/rng.h"
 #include "faust/cluster.h"
 #include "kvstore/kv_client.h"
 #include "shard/sharded_cluster.h"
-#include "shard/sharded_kv_client.h"
 #include "ustor/messages.h"
 
 namespace faust::kv {
@@ -394,25 +394,24 @@ TEST(WireDeltaDifferential, ShardedViewsIdenticalWithDeltasOnAndOff) {
     return std::make_unique<shard::ShardedCluster>(cfg);
   };
   const auto run = [](shard::ShardedCluster& cluster) {
-    std::vector<std::unique_ptr<shard::ShardedKvClient>> kvs;
-    for (ClientId i = 1; i <= 3; ++i) {
-      kvs.push_back(std::make_unique<shard::ShardedKvClient>(cluster, i));
-    }
+    std::vector<std::unique_ptr<api::Store>> kvs;
+    for (ClientId i = 1; i <= 3; ++i) kvs.push_back(api::open_store(cluster, i));
     Rng rng(9);
     for (int op = 0; op < 40; ++op) {
       const std::size_t who = rng.next_below(3);
       const std::string key = "key-" + std::to_string(rng.next_below(12));
       bool done = false;
       if (rng.next_below(4) != 0) {
-        kvs[who]->put(key, "v" + std::to_string(op), [&](Timestamp) { done = true; });
+        kvs[who]->put(key, "v" + std::to_string(op),
+                      [&](const api::PutResult&) { done = true; });
       } else {
-        kvs[who]->erase(key, [&](Timestamp) { done = true; });
+        kvs[who]->erase(key, [&](const api::PutResult&) { done = true; });
       }
       EXPECT_TRUE(cluster.drive(done, 2'000'000));
     }
     bool done = false;
     std::map<std::string, KvEntry> view;
-    kvs[0]->list([&](const shard::ShardedListResult& r) {
+    kvs[0]->list([&](const api::ListResult& r) {
       view = r.entries;
       done = true;
     });
